@@ -25,7 +25,7 @@ from .errors import (
     InternalCheckError,
     MonomatError,
 )
-from .matrix import format_matrix, parse_matrix, sign_diff, sign_str
+from .matrix import format_matrix, meaningful_lines, parse_matrix, sign_diff, sign_str
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -102,7 +102,7 @@ def cmd_witness(args) -> int:
         print(f"sampling failed: {exc}", file=sys.stderr)
         return EXIT_SAMPLING
     w = witness_mod.build_witness(sm)
-    report = witness_mod.verify_witness(w, args.n, max_row_sets=args.budget, seed=args.seed)
+    report = witness_mod.verify_witness(w, args.n, max_col_subsets=args.budget)
 
     sign_path = Path(f"{args.output_prefix}.signs")
     witness_path = Path(f"{args.output_prefix}.witness")
@@ -146,35 +146,22 @@ def format_witness_file(w: witness_mod.WitnessMatrix, seed: int) -> str:
 
 
 def parse_witness_file(text: str) -> witness_mod.WitnessMatrix:
-    lines = text.splitlines()
-    header_at = None
-    for idx, raw in enumerate(lines):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        header_at = idx
-        break
-    if header_at is None or not lines[header_at].strip().startswith("witness t="):
-        raise FormatError(header_at + 1 if header_at is not None else 1,
-                          "expected header 'witness t=<t>'")
-    header = lines[header_at].strip()
+    lineno, header = next(meaningful_lines(text), (1, ""))
+    if not header.startswith("witness t="):
+        raise FormatError(lineno, "expected header 'witness t=<t>'")
     try:
         t = int(header.split("=", 1)[1])
     except ValueError:
-        raise FormatError(header_at + 1, "bad t in witness header") from None
-    sm = witness_mod.parse_sign_matrix("\n".join(lines[header_at + 1 :]))
+        raise FormatError(lineno, "bad t in witness header") from None
+    sm = witness_mod.parse_sign_matrix("\n".join(text.splitlines()[lineno:]))
     if sm.cols != t:
-        raise FormatError(header_at + 1, f"header says t={t} but sign matrix has {sm.cols} columns")
+        raise FormatError(lineno, f"header says t={t} but sign matrix has {sm.cols} columns")
     return witness_mod.build_witness(sm)
 
 
 def _sniff_kind(text: str) -> str:
     """Classify an input file as witness, sign-matrix, or numeric matrix."""
-    meaningful = [
-        stripped
-        for raw in text.splitlines()
-        if (stripped := raw.strip()) and not stripped.startswith("#")
-    ]
+    meaningful = [line for _, line in meaningful_lines(text)]
     if not meaningful:
         raise FormatError(1, "empty input file")
     if meaningful[0].startswith("witness t="):
@@ -209,7 +196,7 @@ def cmd_verify(args) -> int:
             witness_mod.parse_sign_matrix(text)
         )
         if run_structural:
-            report = witness_mod.verify_witness(w, args.n, max_row_sets=args.budget, seed=args.seed)
+            report = witness_mod.verify_witness(w, args.n, max_col_subsets=args.budget)
             payload["checks"].append("structural")
             payload["structural"] = report.verdict
             payload["check_mode"] = report.mode
@@ -414,6 +401,13 @@ def cmd_lemma(args) -> int:
     return EXIT_OK
 
 
+def positive_int(text: str) -> int:
+    """argparse type for sizes and budgets: 0 exits 2 like any other bad argument."""
+    if (value := int(text)) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="monomat",
@@ -427,19 +421,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_find = sub.add_parser("find", help="run the extraction pipeline on a matrix file")
     p_find.add_argument("input", help="matrix file")
-    p_find.add_argument("--n", type=int, required=True, help="target submatrix size")
+    p_find.add_argument("--n", type=positive_int, required=True, help="target submatrix size")
     p_find.add_argument("--kind", choices=("row", "full"), default="row")
     p_find.add_argument("--mode", choices=("best-effort", "guaranteed"), default="best-effort")
-    p_find.add_argument("--budget", type=int, default=200_000, help="fallback search budget")
+    p_find.add_argument("--budget", type=positive_int, default=200_000, help="fallback space cap")
     p_find.add_argument("--output", help="write the witness JSON here")
     common(p_find)
     p_find.set_defaults(func=cmd_find)
 
     p_wit = sub.add_parser("witness", help="sample a verified lower-bound witness")
     for flag in ("--d", "--t", "--n", "--s"):
-        p_wit.add_argument(flag, type=int, required=True)
-    p_wit.add_argument("--max-attempts", type=int, default=1000)
-    p_wit.add_argument("--budget", type=int, default=10**6, help="row sets checked by verify")
+        p_wit.add_argument(flag, type=positive_int, required=True)
+    p_wit.add_argument("--max-attempts", type=positive_int, default=1000)
+    p_wit.add_argument("--budget", type=positive_int, default=10**6, help="column subsets tallied")
     p_wit.add_argument("--output-prefix", default="witness", help="prefix for output files")
     p_wit.add_argument("--materialize", action="store_true", help="also write the dense matrix")
     common(p_wit)
@@ -447,10 +441,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="check a witness or matrix file for n x n submatrices")
     p_ver.add_argument("input", help="witness, sign-matrix, or matrix file")
-    p_ver.add_argument("--n", type=int, required=True)
+    p_ver.add_argument("--n", type=positive_int, required=True)
     p_ver.add_argument("--structural", action="store_true", help="run only the structural check")
     p_ver.add_argument("--oracle", action="store_true", help="run only the brute-force check")
-    p_ver.add_argument("--budget", type=int, default=10**6)
+    p_ver.add_argument("--budget", type=positive_int, default=10**6, help="subsets searched")
     common(p_ver)
     p_ver.set_defaults(func=cmd_verify)
 
@@ -468,9 +462,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_orc = sub.add_parser("oracle", help="exhaustive search for an n x n submatrix")
     p_orc.add_argument("input", help="matrix file")
-    p_orc.add_argument("--n", type=int, required=True)
+    p_orc.add_argument("--n", type=positive_int, required=True)
     p_orc.add_argument("--kind", choices=("row", "full"), default="row")
-    p_orc.add_argument("--budget", type=int, default=10**7)
+    p_orc.add_argument("--budget", type=positive_int, default=10**7)
     common(p_orc)
     p_orc.set_defaults(func=cmd_oracle)
 

@@ -276,7 +276,8 @@ def _parse_value(token: str, lineno: int):
     raise FormatError(lineno, f"bad value {token!r}")
 
 
-def _meaningful_lines(text: str):
+def meaningful_lines(text: str):
+    """(line number, stripped content) of each non-blank line that is not a '#' comment."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
         if stripped and not stripped.startswith("#"):
@@ -288,7 +289,7 @@ def parse_matrix(text: str) -> Matrix:
 
     '#' comment lines are ignored. Errors name the offending line.
     """
-    lines = list(_meaningful_lines(text))
+    lines = list(meaningful_lines(text))
     if not lines:
         raise FormatError(1, "empty matrix file")
     lineno, header = lines[0]
@@ -312,13 +313,8 @@ def parse_matrix(text: str) -> Matrix:
     return Matrix.from_rows(rows)
 
 
-def _format_value(value) -> str:
-    if isinstance(value, Fraction) and value.denominator != 1:
-        return f"{value.numerator}/{value.denominator}"
-    return str(int(value)) if isinstance(value, Fraction) else str(value)
-
-
 def format_matrix(m: Matrix) -> str:
+    """Inverse of parse_matrix; str() of a Fraction is already 'p/q', or 'p' when integral."""
     lines = [f"{m.rows} {m.cols}"]
-    lines.extend(" ".join(_format_value(v) for v in row) for row in m.entries)
+    lines.extend(" ".join(map(str, row)) for row in m.entries)
     return "\n".join(lines) + "\n"

@@ -18,8 +18,10 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
+from typing import ClassVar
 
 from .errors import (
+    BudgetExceededError,
     EqualVectorsError,
     ExhaustedAttemptsError,
     FormatError,
@@ -29,7 +31,7 @@ from .errors import (
     RankOutOfRangeError,
 )
 from .extraction import ColoredMatrix
-from .matrix import Matrix
+from .matrix import DECREASING, INCREASING, Matrix, ceil_log2, meaningful_lines
 
 BitVector = tuple[int, ...]
 
@@ -108,11 +110,7 @@ class SignMatrix:
 
 def parse_sign_matrix(text: str) -> SignMatrix:
     """Parse the sign-matrix format: 'd t' then d rows of +/- entries."""
-    lines = [
-        (lineno, stripped)
-        for lineno, raw in enumerate(text.splitlines(), start=1)
-        if (stripped := raw.strip()) and not stripped.startswith("#")
-    ]
+    lines = list(meaningful_lines(text))
     if not lines:
         raise FormatError(1, "empty sign-matrix file")
     lineno, header = lines[0]
@@ -182,12 +180,21 @@ class WitnessMatrix:
         return tuple(self.entry(a, k) for a in range(self.rows))
 
     def materialize(self, max_t: int = 20) -> Matrix:
-        """Dense form; refused above 2^max_t columns."""
+        """Dense form, refused above 2^max_t columns; entry() is the defining formula.
+
+        Rows are built in colex order, O(2^t) per row: columns 2^i + 1..2^(i+1)
+        repeat columns 1..2^i shifted by 2^(i+1) * s_i.
+        """
         if self.t > max_t:
             raise MonomatError(f"refusing to materialize 2^{self.t} columns (limit 2^{max_t})")
-        return Matrix.from_rows(
-            [[self.entry(a, k) for k in range(1, self.cols + 1)] for a in range(self.rows)]
-        )
+        rows = []
+        for signs in self.signs.entries:
+            row = [0]
+            for i, sign in enumerate(signs):
+                step = (2 << i) * sign
+                row += [v + step for v in row]
+            rows.append(tuple(row))
+        return Matrix(tuple(rows))
 
 
 def build_witness(sm: SignMatrix) -> WitnessMatrix:
@@ -234,10 +241,15 @@ def row_set_profiles(w: WitnessMatrix, n: int):
 
 @dataclass(frozen=True)
 class WitnessCheckReport:
-    """Result of the structural no-row-monotone-submatrix check."""
+    """Result of the structural no-row-monotone-submatrix check; every verdict is exact.
 
+    row_sets_tested counts the n-row sets in lexicographic order up to the
+    first failing one, or all of them on PASS. On FAIL, max_plus, max_minus
+    and worst_* describe that row set.
+    """
+
+    mode: ClassVar[str] = "exhaustive"  # printed by the CLI as check_mode
     verdict: str  # 'PASS' | 'FAIL'
-    mode: str  # 'exhaustive' | 'sampled'
     target: int
     row_sets_tested: int
     row_sets_total: int
@@ -255,75 +267,72 @@ class WitnessCheckReport:
         return self.row_sets_tested / self.row_sets_total
 
 
-def verify_witness(
-    w: WitnessMatrix, n: int, max_row_sets: int = 10**6, seed: int = 0
-) -> WitnessCheckReport:
+def verify_witness(w: WitnessMatrix, n: int, max_col_subsets: int = 10**6) -> WitnessCheckReport:
     """Certify structurally that the witness has no n x n row-monotone submatrix.
 
-    For each row set R of size n, count the sign-matrix columns constant +1
-    (and constant -1) on R; any set of witness columns monotone on R pairwise
-    differs inside those coordinates, so at most 2^|B| columns qualify. The
-    verdict is PASS when that bound stays below n for every tested R.
-    Enumeration is exhaustive when C(d, n) fits the budget, otherwise a seeded
-    sample is drawn and the coverage is reported.
+    For a row set R let B+ (B-) be the sign-matrix columns constant +1 (-1)
+    on R: witness columns monotone on R pairwise differ inside one of them,
+    so at most 2^max(|B+|, |B-|) qualify. The verdict is FAIL exactly when n
+    rows share s = ceil(log2 n) single-sign columns. For j = 0..s the check
+    tallies the rows constant in each sign on each j-subset of columns,
+    extending a subset only while some sign keeps n rows. The first failing
+    row set is the least of the first n rows of the deepest tallies, so the
+    report equals that of enumerating all C(d, n) row sets (row_set_profiles)
+    at a cost of at most sum_{1<=j<=s} C(t, j) tallies of d rows. Raises
+    BudgetExceededError past max_col_subsets tallied column subsets.
     """
     if n < 1:
         raise ValueError("n must be positive")
     d, t = w.rows, w.t
-    total = comb(d, n) if n <= d else 0
-    exhaustive = total <= max_row_sets
-    if n > d:
-        return WitnessCheckReport(
-            verdict="PASS",
-            mode="exhaustive",
-            target=n,
-            row_sets_tested=0,
-            row_sets_total=0,
-            max_plus=0,
-            max_minus=0,
-            clique_bound=1,
-            worst_rows=(),
-            worst_plus=(),
-            worst_minus=(),
-        )
-
-    if exhaustive:
-        row_sets = combinations(range(d), n)
-    else:
-        rng = random.Random(seed)
-        seen = set()
-        for _ in range(max_row_sets):
-            seen.add(tuple(sorted(rng.sample(range(d), n))))
-        row_sets = sorted(seen)
-
+    if n > d:  # no row set to test
+        return WitnessCheckReport("PASS", n, 0, 0, 0, 0, 1, (), (), ())
     entries = w.signs.entries
-    tested = 0
-    worst = ((), (), ())
-    max_plus = max_minus = 0
-    verdict = "PASS"
-    for rows in row_sets:
-        tested += 1
-        plus = tuple(j for j in range(t) if all(entries[r][j] > 0 for r in rows))
-        minus = tuple(j for j in range(t) if all(entries[r][j] < 0 for r in rows))
-        if max(len(plus), len(minus)) > max(max_plus, max_minus):
-            worst = (rows, plus, minus)
-        max_plus = max(max_plus, len(plus))
-        max_minus = max(max_minus, len(minus))
-        if (1 << max(len(plus), len(minus))) >= n:
-            verdict = "FAIL"
+    plus_rows = [sum(1 << a for a in range(d) if entries[a][j] > 0) for j in range(t)]
+    minus_rows = [sum(1 << a for a in range(d) if entries[a][j] < 0) for j in range(t)]
+    s = ceil_log2(n)
+    # (next column, rows all + on the subset, rows all - on it) per surviving
+    # subset of `depth` columns; a sign holding fewer than n rows reads 0.
+    level = [(0, (1 << d) - 1, (1 << d) - 1)]
+    depth = max_plus = max_minus = tallied = 0
+    while depth < s:
+        tallied += sum(t - start for start, _, _ in level)
+        if tallied > max_col_subsets:
+            raise BudgetExceededError(f"column-subset budget {max_col_subsets} exhausted")
+        nxt = []
+        for start, plus, minus in level:
+            for j in range(start, t):
+                p, m = plus & plus_rows[j], minus & minus_rows[j]
+                p, m = p if p.bit_count() >= n else 0, m if m.bit_count() >= n else 0
+                if p or m:
+                    nxt.append((j + 1, p, m))
+        if not nxt:
             break
+        depth += 1
+        level = nxt
+        max_plus = depth if any(p for _, p, _ in level) else max_plus
+        max_minus = depth if any(m for _, _, m in level) else max_minus
+
+    masks = [mask for _, p, m in level for mask in (p, m) if mask]
+    rows = min(tuple(a for a in range(d) if mask >> a & 1)[:n] for mask in masks)
+    plus = tuple(j for j in range(t) if all(entries[r][j] > 0 for r in rows))
+    minus = tuple(j for j in range(t) if all(entries[r][j] < 0 for r in rows))
+    failed = depth == s
+    if failed:
+        max_plus, max_minus = len(plus), len(minus)
+    total = comb(d, n)
+    # Row sets up to `rows` in lexicographic order: all but those after it.
+    later = sum(comb(d - 1 - r, n - i) for i, r in enumerate(rows))
     return WitnessCheckReport(
-        verdict=verdict,
-        mode="exhaustive" if exhaustive else "sampled",
+        verdict="FAIL" if failed else "PASS",
         target=n,
-        row_sets_tested=tested,
+        row_sets_tested=total - later if failed else total,
         row_sets_total=total,
         max_plus=max_plus,
         max_minus=max_minus,
         clique_bound=1 << max(max_plus, max_minus),
-        worst_rows=worst[0],
-        worst_plus=worst[1],
-        worst_minus=worst[2],
+        worst_rows=rows if plus or minus else (),
+        worst_plus=plus,
+        worst_minus=minus,
     )
 
 
@@ -334,8 +343,6 @@ def structural_counterexample(w: WitnessMatrix, report: WitnessCheckReport):
     inside the constant-sign coordinate set give 2^|B| columns that are
     monotone on those rows. Returns (rows, colex ranks, direction).
     """
-    from .matrix import DECREASING, INCREASING
-
     if report.verdict != "FAIL":
         raise ValueError("no counterexample: report verdict is PASS")
     if len(report.worst_plus) >= len(report.worst_minus):

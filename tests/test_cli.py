@@ -130,14 +130,65 @@ def test_verify_matrix_counterexample(inc_matrix, capsys):
     capsys.readouterr()
 
 
-def test_verify_sampled_mode_reports_coverage(tmp_path, capsys):
-    # force sampling with a tiny budget
+def test_verify_structural_is_exhaustive_within_small_budget(tmp_path, capsys):
+    # C(30, 10) row sets, far more than the budget; the check tallies column subsets instead.
     rows = "\n".join("+ -" for _ in range(30))
     path = tmp_path / "big.signs"
     path.write_text(f"30 2\n{rows}\n")
-    assert run(["verify", path, "--n", 10, "--structural", "--budget", 50]) == 0
-    out = capsys.readouterr().out
-    assert "coverage" in out and "sampled" in out
+    assert run(["verify", path, "--n", 10, "--structural", "--budget", 50, "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["structural"] == "PASS"
+    assert payload["check_mode"] == "exhaustive"
+    assert payload["coverage"] == 1.0
+
+
+def test_verify_structural_finds_block_among_400_rows(tmp_path, capsys):
+    rows = ["+ -" if a % 2 == 0 else "- +" for a in range(397)] + ["+ +"] * 3
+    path = tmp_path / "alternating.witness"
+    path.write_text("witness t=2\n400 2\n" + "\n".join(rows) + "\n")
+    assert run(["verify", path, "--n", 3, "--structural", "--format", "json"]) == 5
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["structural"] == "FAIL"
+    assert payload["counterexample"]["rows"] == [398, 399, 400]
+
+
+def test_verify_structural_budget_never_passes(tmp_path, capsys):
+    path = tmp_path / "bad.signs"
+    path.write_text("3 2\n+ +\n+ +\n+ +\n")
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", path, "--n", 2, "--structural", "--budget", 0])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out and "Traceback" not in captured.err
+    assert run(["verify", path, "--n", 2, "--structural", "--budget", 1]) == 3
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out and "budget 1 exhausted" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["find", "{inc}", "--n", "0"],
+        ["find", "{inc}", "--n", "2", "--budget", "0"],
+        ["verify", "{inc}", "--n", "0"],
+        ["verify", "{inc}", "--n", "2", "--budget", "-1"],
+        ["oracle", "{inc}", "--n", "2", "--budget", "0"],
+        ["oracle", "{inc}", "--n", "0"],
+        ["witness", "--d", "0", "--t", "2", "--n", "2", "--s", "1"],
+        ["witness", "--d", "2", "--t", "0", "--n", "2", "--s", "1"],
+        ["witness", "--d", "2", "--t", "2", "--n", "2", "--s", "0"],
+        ["witness", "--d", "2", "--t", "2", "--n", "2", "--s", "1", "--max-attempts", "0"],
+        ["witness", "--d", "2", "--t", "2", "--n", "2", "--s", "1", "--budget", "0"],
+        ["witness", "--d", "x", "--t", "2", "--n", "2", "--s", "1"],
+    ],
+)
+def test_non_positive_sizes_exit_2(argv, inc_matrix, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run([a.format(inc=inc_matrix) for a in argv])
+    assert exc.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not list(tmp_path.glob("witness.*"))
 
 
 def test_lemma_commands(capsys):

@@ -1,19 +1,22 @@
 """Colex machinery, implicit witness matrices, sampling, and structural checks."""
 
 import random
+from fractions import Fraction
 from functools import cmp_to_key
-from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monomat.errors import (
+    BudgetExceededError,
     EqualVectorsError,
     ExhaustedAttemptsError,
     FormatError,
     LengthMismatchError,
     RankOutOfRangeError,
 )
-from monomat.matrix import DECREASING, INCREASING, sign_diff
+from monomat.matrix import INCREASING, Matrix, format_matrix, sign_diff
 from monomat.oracle import SearchBudget, brute_force_row_monotone
 from monomat.witness import (
     SignMatrix,
@@ -187,15 +190,22 @@ def test_verify_witness_more_rows_than_matrix():
     assert report.verdict == "PASS" and report.row_sets_total == 0
 
 
-def test_verify_witness_sampled_mode():
-    rng = random.Random(21)
-    sm = SignMatrix.from_rows(
-        [[1 - 2 * rng.getrandbits(1) for _ in range(4)] for _ in range(30)]
-    )
-    report = verify_witness(build_witness(sm), 10, max_row_sets=500, seed=0)
-    assert report.mode == "sampled"
-    assert 0 < report.coverage < 1
-    assert report.row_sets_tested <= 500
+def test_verify_witness_exact_on_400_rows():
+    # Rows alternate +-/-+ and the last three are ++, so the only 3 x 2 block is at the
+    # end; a check that sampled a million of the C(400, 3) row sets printed PASS here.
+    rows = [[1, -1] if a % 2 == 0 else [-1, 1] for a in range(397)] + [[1, 1]] * 3
+    report = verify_witness(build_witness(SignMatrix.from_rows(rows)), 3)
+    assert report.verdict == "FAIL" and report.mode == "exhaustive"
+    assert report.worst_rows == (397, 398, 399) and report.worst_plus == (0, 1)
+    assert report.row_sets_tested == report.row_sets_total  # the last row set
+    assert report.clique_bound == 4
+
+
+def test_verify_witness_budget_caps_column_subsets():
+    w = build_witness(SignMatrix.from_rows([[1, 1]] * 3))
+    with pytest.raises(BudgetExceededError):
+        verify_witness(w, 2, max_col_subsets=1)
+    assert verify_witness(w, 2, max_col_subsets=2).verdict == "FAIL"
 
 
 def test_sign_matrix_round_trip():
@@ -232,3 +242,65 @@ def test_sampled_witness_end_to_end_no_submatrix():
     assert dense.rows == 6 and dense.cols == 32
     found = brute_force_row_monotone(dense, 3, SearchBudget(10**7, 10**7))
     assert found is None
+
+
+def enumerated_report(w: WitnessMatrix, n: int) -> dict:
+    """The structural check by enumerating every n-row set in lexicographic order."""
+    tested, worst, max_plus, max_minus = 0, ((), (), ()), 0, 0
+    verdict = "PASS"
+    for rows, plus, minus in row_set_profiles(w, n):
+        tested += 1
+        if max(len(plus), len(minus)) > max(max_plus, max_minus):
+            worst = (rows, plus, minus)
+        max_plus, max_minus = max(max_plus, len(plus)), max(max_minus, len(minus))
+        if 1 << max(len(plus), len(minus)) >= n:
+            verdict = "FAIL"
+            break
+    return {
+        "verdict": verdict,
+        "row_sets_tested": tested,
+        "clique_bound": 1 << max(max_plus, max_minus),
+        "worst": worst,
+        "max": (max_plus, max_minus),
+    }
+
+
+def format_value(v) -> str:
+    """The matrix text format of one exact value."""
+    if isinstance(v, Fraction) and v.denominator != 1:
+        return f"{v.numerator}/{v.denominator}"
+    return str(int(v))
+
+
+@st.composite
+def biased_sign_matrices(draw):
+    d, t = draw(st.integers(1, 9)), draw(st.integers(0, 6))
+    majority = draw(st.sampled_from((1, -1)))
+    odds = draw(st.integers(1, 6))  # one entry in odds + 1 is a minority sign
+    entry = st.integers(0, odds).map(lambda v: -majority if v == 0 else majority)
+    rows = draw(st.lists(st.lists(entry, min_size=t, max_size=t), min_size=d, max_size=d))
+    return SignMatrix.from_rows(rows), draw(st.integers(1, 10))
+
+
+@settings(max_examples=400, deadline=None)
+@given(biased_sign_matrices())
+def test_verify_witness_matches_enumeration(instance):
+    sm, n = instance
+    w = build_witness(sm)
+    report, expected = verify_witness(w, n), enumerated_report(w, n)
+    assert report.verdict == expected["verdict"]
+    assert report.row_sets_tested == expected["row_sets_tested"]
+    assert report.clique_bound == expected["clique_bound"]
+    assert (report.worst_rows, report.worst_plus, report.worst_minus) == expected["worst"]
+    if report.verdict == "PASS":
+        assert (report.max_plus, report.max_minus) == expected["max"]
+
+    dense = w.materialize()
+    assert [list(row) for row in dense.entries] == [
+        [w.entry(a, k) for k in range(1, w.cols + 1)] for a in range(w.rows)
+    ]
+    halves = Matrix.from_rows([[Fraction(v, 2) for v in row] for row in dense.entries])
+    for m in (dense, halves):
+        assert format_matrix(m).splitlines()[1:] == [
+            " ".join(format_value(v) for v in row) for row in m.entries
+        ]
