@@ -11,6 +11,7 @@ witness they can certify.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -73,19 +74,6 @@ class IndexedSequence:
         vectors = tuple(tuple(v) for v in vectors)
         return cls(vectors, tuple(range(len(vectors))))
 
-    @classmethod
-    def from_columns(cls, m: Matrix) -> "IndexedSequence":
-        """Columns of a matrix, with every coordinate lifted to (value, column).
-
-        The lift makes all coordinates pairwise distinct, so strict sign
-        comparisons are total; any monotone structure found in the lifted
-        sequence is weakly monotone in the original values.
-        """
-        vectors = tuple(
-            tuple((m.entries[a][i], i) for a in range(m.rows)) for i in range(m.cols)
-        )
-        return cls(vectors, tuple(range(m.cols)))
-
     def __len__(self):
         return len(self.vectors)
 
@@ -99,16 +87,6 @@ class IndexedSequence:
             tuple(self.vectors[p] for p in positions),
             tuple(self.indices[p] for p in positions),
         )
-
-    def check_coordinate_distinct(self) -> bool:
-        """True iff no two vectors agree on any coordinate."""
-        for a in range(self.dim):
-            seen = set()
-            for v in self.vectors:
-                if v[a] in seen:
-                    return False
-                seen.add(v[a])
-        return True
 
 
 @dataclass(frozen=True)
@@ -163,36 +141,52 @@ class ColoredMatrix:
         return len(self.entries[0])
 
 
-def _split_positions(seq: IndexedSequence, positions):
+def _below(col, positions, cut, last):
+    """Split positions into those with (value, position) <= (cut, last) and the rest."""
+    low, high = [], []
+    for p in positions:
+        v = col[p]
+        (low if v < cut or v == cut and p <= last else high).append(p)
+    return low, high
+
+
+def _split_positions(coords, positions, strict: bool):
     """One splitting round: two equal-size sub-groups with a uniform sign pattern.
 
-    Returns (sign, first_positions, second_positions). Every element of the
-    first group precedes every element of the second, and the sign of
-    (second - first) is the returned vector on every coordinate. Sizes shrink
-    by at most half per coordinate, so both groups keep at least
-    ceil(len/2^(d+1)) elements whenever 2^(d+1) divides len.
+    coords holds one value sequence per coordinate, indexed by position (the
+    rows of a matrix already are). Returns (sign, first_positions,
+    second_positions). Every element of the first group precedes every
+    element of the second, and the sign of (second - first) is the returned
+    vector on every coordinate. A tie at a coordinate's median sends its
+    earliest positions to the low half, which orders equal values by position
+    exactly as a (value, position) lift would; with strict set, any tie
+    raises TiedCoordinateError instead. Sizes shrink by at most half per
+    coordinate, so both groups keep at least ceil(len/2^(d+1)) elements
+    whenever 2^(d+1) divides len.
     """
     if len(positions) < 2:
         raise TooShortError(f"cannot split a group of {len(positions)}")
     half = len(positions) // 2
-    first = list(positions[:half])
-    second = list(positions[len(positions) - half :])
+    first = positions[:half]
+    second = positions[len(positions) - half :]
     signs = []
-    for a in range(seq.dim):
-        ordered = sorted(first + second, key=lambda p: seq.vectors[p][a])
-        for p, q in zip(ordered, ordered[1:]):
-            if seq.vectors[p][a] == seq.vectors[q][a]:
-                raise TiedCoordinateError(a)
-        low = set(ordered[: len(ordered) // 2])
-        first_low = [p for p in first if p in low]
-        first_high = [p for p in first if p not in low]
+    for a, col in enumerate(coords):
+        group = first + second
+        values = sorted([col[p] for p in group])
+        if strict and any(x == y for x, y in zip(values, values[1:])):
+            raise TiedCoordinateError(a)
+        k = len(first)
+        cut = values[k]
+        last = -1  # the latest position valued at the cut that still goes low
+        if values[k - 1] == cut:
+            last = [p for p in group if col[p] == cut][k - bisect_left(values, cut) - 1]
+        first_low, first_high = _below(col, first, cut, last)
+        second_low, second_high = _below(col, second, cut, last)
         if len(first_low) >= len(first_high):
-            first = first_low
-            second = [p for p in second if p not in low]
+            first, second = first_low, second_high
             signs.append(1)
         else:
-            first = first_high
-            second = [p for p in second if p in low]
+            first, second = first_high, second_low
             signs.append(-1)
         if len(first) != len(second):
             raise InternalCheckError("split halves lost size parity")
@@ -205,17 +199,19 @@ def bipartite_split(seq: IndexedSequence):
     Returns (sign, A, B) with |A| = |B|; the guarantee |A| >= N/2^(d+1) is
     exact whenever 2^(d+1) divides N.
     """
-    sign, first, second = _split_positions(seq, tuple(range(len(seq))))
+    coords = tuple(zip(*seq.vectors))
+    sign, first, second = _split_positions(coords, list(range(len(seq))), strict=True)
     return sign, seq.subsequence(first), seq.subsequence(second)
 
 
-def _descend_tree_like(seq: IndexedSequence, target: int | None):
-    """Iterate the halving construction level by level.
+def _descend_tree_like(coords, count: int, target: int | None, strict: bool):
+    """Iterate the halving construction level by level over `count` positions.
 
     Stops after `target` levels, or as deep as possible when target is None.
-    Returns (achieved height, groups, labels).
+    Returns the labeled tree and the earliest position of each surviving
+    group, its representative.
     """
-    groups = [list(range(len(seq)))]
+    groups = [list(range(count))]
     labels = {}
     height = 0
     while target is None or height < target:
@@ -223,7 +219,7 @@ def _descend_tree_like(seq: IndexedSequence, target: int | None):
         new_labels = {}
         try:
             for gi, group in enumerate(groups):
-                sign, first, second = _split_positions(seq, group)
+                sign, first, second = _split_positions(coords, group, strict)
                 new_labels[(height, gi + 1)] = sign
                 new_groups.append(first)
                 new_groups.append(second)
@@ -234,38 +230,29 @@ def _descend_tree_like(seq: IndexedSequence, target: int | None):
         labels.update(new_labels)
         groups = new_groups
         height += 1
-    return height, groups, labels
+    tree = LabeledBinaryTree(height=height, dim=len(coords), labels=labels)
+    return tree, [group[0] for group in groups]
 
 
-def tree_like_subsequence(seq: IndexedSequence, m: int) -> TreeLikeCertificate:
+def tree_like_subsequence(seq: IndexedSequence, m: int | None) -> TreeLikeCertificate:
     """Extract a length-2^m subsequence whose sign patterns follow one labeled tree.
 
     Success is guaranteed when len(seq) >= 2^(m(d+1)); on shorter input the
-    construction may die early, raising InsufficientLengthError. The earliest
-    element of each surviving group is kept as its representative.
+    construction may die early, raising InsufficientLengthError. With m None
+    it goes as deep as it can. The earliest element of each surviving group
+    is kept as its representative.
     """
-    if m < 0:
+    if m is not None and m < 0:
         raise ValueError("height must be non-negative")
     if not len(seq):
         raise TooShortError("empty sequence")
-    height, groups, labels = _descend_tree_like(seq, m)
-    reps = [group[0] for group in groups]
-    return TreeLikeCertificate(
-        sequence=seq.subsequence(reps),
-        tree=LabeledBinaryTree(height=height, dim=seq.dim, labels=labels),
-    )
+    tree, reps = _descend_tree_like(tuple(zip(*seq.vectors)), len(seq), m, strict=True)
+    return TreeLikeCertificate(sequence=seq.subsequence(reps), tree=tree)
 
 
 def best_tree_like(seq: IndexedSequence) -> TreeLikeCertificate:
     """Tree-like subsequence of the largest height the construction reaches."""
-    if not len(seq):
-        raise TooShortError("empty sequence")
-    height, groups, labels = _descend_tree_like(seq, None)
-    reps = [group[0] for group in groups]
-    return TreeLikeCertificate(
-        sequence=seq.subsequence(reps),
-        tree=LabeledBinaryTree(height=height, dim=seq.dim, labels=labels),
-    )
+    return tree_like_subsequence(seq, None)
 
 
 def is_binary_tree_like(seq: IndexedSequence):
@@ -496,9 +483,10 @@ def find_row_monotone(
 ) -> PipelineResult:
     """Search for an n x n row-monotone submatrix.
 
-    Pipeline: lift columns to tie-free vectors, build the deepest tree-like
-    subsequence, thin it to a perfect leaf set, find a single-sign block in
-    the layer labels, and select columns through the depth-set leaf formula.
+    Pipeline: build the deepest tree-like subsequence of the columns (the
+    split orders tied entries by column index), thin it to a perfect leaf
+    set, find a single-sign block in the layer labels, and select columns
+    through the depth-set leaf formula.
     Best-effort mode accepts any matrix and degrades the target; when the
     target is missed and the n x n search space fits the fallback budget, an
     exhaustive pass settles existence. Guaranteed mode refuses matrices below
@@ -517,12 +505,10 @@ def find_row_monotone(
         return _trivial_result(m, n, ROW_MONOTONE, whole, guaranteed)
 
     stages = []
-    seq = IndexedSequence.from_columns(m)
-    cert = best_tree_like(seq)
-    tree_height = cert.tree.height
-    stages.append(("tree_like_subsequence", f"height {tree_height}"))
+    tree, reps = _descend_tree_like(m.entries, m.cols, None, strict=False)
+    stages.append(("tree_like_subsequence", f"height {tree.height}"))
 
-    levels, round_labels = _perfect_descent(cert.tree)
+    levels, round_labels = _perfect_descent(tree)
     layers = len(levels) - 1
     stages.append(("perfect_leafset_extract", f"height {layers}"))
 
@@ -543,9 +529,7 @@ def find_row_monotone(
         row_set, depth_set, color = block
         positions = levels_leafset(layers, depth_set)
         leaf_pool = levels[layers]
-        chosen_cols = tuple(
-            sorted(cert.sequence.indices[leaf_pool[q - 1] - 1] for q in positions)
-        )[:k]
+        chosen_cols = tuple(sorted(reps[leaf_pool[q - 1] - 1] for q in positions))[:k]
         direction = INCREASING if color == RED else DECREASING
         witness = SubmatrixWitness(
             rows=row_set, cols=chosen_cols, kind=ROW_MONOTONE, row_direction=direction
@@ -574,7 +558,7 @@ def find_row_monotone(
         s_target = ceil_log2(n)
         if n > m.rows:
             bottleneck = "matrix size"
-        elif tree_height < s_target:
+        elif tree.height < s_target:
             bottleneck = "tree_like_subsequence"
         elif layers < s_target:
             bottleneck = "perfect_leafset_extract"

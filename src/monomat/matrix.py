@@ -51,10 +51,6 @@ def sign_str(s: SignVector) -> str:
     return "".join("+" if x > 0 else "-" for x in s)
 
 
-def parse_sign_str(text: str) -> SignVector:
-    return tuple(1 if ch == "+" else -1 for ch in text)
-
-
 _EXACT_TYPES = (int, Fraction)
 
 
@@ -294,7 +290,7 @@ def parse_matrix(text: str) -> Matrix:
         raise FormatError(1, "empty matrix file")
     lineno, header = lines[0]
     parts = header.split()
-    if len(parts) != 2:
+    if len(parts) != 2 or "_" in header:
         raise FormatError(lineno, "header must be 'd N'")
     try:
         d, n_cols = int(parts[0]), int(parts[1])
@@ -309,8 +305,14 @@ def parse_matrix(text: str) -> Matrix:
         tokens = content.split()
         if len(tokens) != n_cols:
             raise FormatError(lineno, f"expected {n_cols} values, found {len(tokens)}")
-        rows.append(tuple(_parse_value(tok, lineno) for tok in tokens))
-    return Matrix.from_rows(rows)
+        if "_" in content:  # int() and Fraction() would read '1_0' as 10
+            raise FormatError(lineno, "'_' is not allowed in a value")
+        try:
+            rows.append(tuple(map(int, tokens)))
+        except ValueError:
+            rows.append(tuple(_parse_value(tok, lineno) for tok in tokens))
+    # Every row has n_cols >= 1 values and each is an int or a Fraction: no from_rows checks.
+    return Matrix(tuple(rows))
 
 
 def format_matrix(m: Matrix) -> str:

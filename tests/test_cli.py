@@ -180,6 +180,7 @@ def test_verify_structural_budget_never_passes(tmp_path, capsys):
         ["witness", "--d", "2", "--t", "2", "--n", "2", "--s", "1", "--max-attempts", "0"],
         ["witness", "--d", "2", "--t", "2", "--n", "2", "--s", "1", "--budget", "0"],
         ["witness", "--d", "x", "--t", "2", "--n", "2", "--s", "1"],
+        ["lemma", "2.3", "--Z", "1,x"],
     ],
 )
 def test_non_positive_sizes_exit_2(argv, inc_matrix, tmp_path, monkeypatch, capsys):
@@ -189,6 +190,55 @@ def test_non_positive_sizes_exit_2(argv, inc_matrix, tmp_path, monkeypatch, caps
     assert exc.value.code == 2
     assert "Traceback" not in capsys.readouterr().err
     assert not list(tmp_path.glob("witness.*"))
+
+
+def test_witness_materialize_beyond_t20_refused_before_writing(tmp_path, capsys):
+    code = run(["witness", "--d", 3, "--t", 21, "--n", 4, "--s", 2, "--materialize",
+                "--output-prefix", tmp_path / "x"])
+    assert code == 2
+    assert "t=20" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def wide_witness(tmp_path, rows):
+    """A t = 21 witness file, too wide for the oracle to materialize."""
+    path = tmp_path / "wide.witness"
+    body = "\n".join(" ".join(row) for row in rows)
+    path.write_text(f"witness t=21\n{len(rows)} 21\n{body}\n")
+    return path
+
+
+def test_verify_beyond_t20_reports_structural_verdict(tmp_path, capsys):
+    alternating = [["+-"[(a + j) % 2] for j in range(21)] for a in range(3)]
+    path = wide_witness(tmp_path, alternating)
+    assert run(["verify", path, "--n", 4, "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert payload["structural"] == "PASS"
+    assert payload["checks"] == ["structural"]
+    assert payload["oracle"] == "skipped"
+    assert "t <= 20" in captured.err
+    path = wide_witness(tmp_path, [["+"] * 21] * 4)
+    assert run(["verify", path, "--n", 2, "--format", "json"]) == 5
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["structural"], payload["oracle"]) == ("FAIL", "skipped")
+    assert payload["counterexample"]["rows"] == [1, 2]
+
+
+def test_verify_oracle_only_beyond_t20_exit_2(tmp_path, capsys):
+    path = wide_witness(tmp_path, [["+"] * 21] * 4)
+    assert run(["verify", path, "--n", 2, "--oracle"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "t <= 20" in captured.err
+
+
+def test_oracle_rejects_underscore_in_value(tmp_path, capsys):
+    # int() reads '1_0' as 10, which would make this matrix increasing
+    path = tmp_path / "underscore.txt"
+    path.write_text("2 2\n1 2\n3 1_0\n")
+    assert run(["oracle", path, "--n", 2]) == 2
+    captured = capsys.readouterr()
+    assert "result" not in captured.out and "line 3" in captured.err
 
 
 def test_lemma_commands(capsys):

@@ -10,6 +10,7 @@ from monomat.errors import (
     InsufficientLengthError,
     InsufficientTreeError,
     NotPowerOfTwoError,
+    TiedCoordinateError,
     TooShortError,
 )
 from monomat.extraction import (
@@ -17,6 +18,8 @@ from monomat.extraction import (
     RED,
     ColoredMatrix,
     IndexedSequence,
+    _descend_tree_like,
+    _split_positions,
     best_tree_like,
     bipartite_split,
     find_monotone,
@@ -378,7 +381,51 @@ def test_best_tree_like_matches_stepwise_construction():
 def test_indexed_sequence_validation():
     with pytest.raises(ValueError):
         IndexedSequence(((1,), (2,)), (3, 3))
-    seq = IndexedSequence.from_vectors([(1, 2), (1, 5)])
-    assert not seq.check_coordinate_distinct()
-    lifted = IndexedSequence.from_columns(Matrix.from_rows([[1, 1], [5, 5]]))
-    assert lifted.check_coordinate_distinct()
+
+
+def test_vector_split_raises_on_any_tie():
+    with pytest.raises(TiedCoordinateError) as err:
+        bipartite_split(IndexedSequence.from_vectors([(1, 2), (1, 5)]))
+    assert err.value.coordinate == 0
+    # the tie is away from the median, between the two low values
+    with pytest.raises(TiedCoordinateError):
+        bipartite_split(IndexedSequence.from_vectors([(1,), (1,), (2,), (3,)]))
+
+
+def lifted(m):
+    """Columns of m with every entry lifted to (value, column): tie-free vectors."""
+    return IndexedSequence.from_vectors(
+        tuple((row[i], i) for row in m.entries) for i in range(m.cols)
+    )
+
+
+def test_row_split_tie_at_the_median():
+    # sorted values 3 4 4 4 4 4 4 5: the cut falls inside the run of 4s, so
+    # the earliest three 4s (columns 1-3) go low with the 3 at column 7
+    m = Matrix.from_rows([[5, 4, 4, 4, 4, 4, 4, 3]])
+    sign, first, second = _split_positions(m.entries, list(range(8)), strict=False)
+    assert (sign, first, second) == ((1,), [1, 2, 3], [4, 5, 6])
+    lifted_sign, a, b = bipartite_split(lifted(m))
+    assert (lifted_sign, a.indices, b.indices) == (sign, (1, 2, 3), (4, 5, 6))
+    with pytest.raises(TiedCoordinateError):
+        _split_positions(m.entries, list(range(8)), strict=True)
+    # when the first half splits evenly around the cut, its low part is kept
+    assert _split_positions(((1, 4, 2, 3),), [0, 1, 2, 3], strict=False) == ((1,), [0], [3])
+
+
+def test_row_descent_matches_lifted_vector_path():
+    # small value ranges, so ties land on the cut at every level
+    rng = random.Random(61)
+    for _ in range(400):
+        d = rng.randrange(1, 7)
+        cols = rng.randrange(1, 300)
+        spread = rng.choice([1, 2, 3, 5, 1000])
+        m = Matrix.from_rows([[rng.randrange(spread) for _ in range(cols)] for _ in range(d)])
+        tree, reps = _descend_tree_like(m.entries, m.cols, None, strict=False)
+        cert = best_tree_like(lifted(m))
+        assert tree == cert.tree
+        assert tuple(reps) == cert.sequence.indices
+        target = rng.randrange(tree.height + 1)
+        tree, reps = _descend_tree_like(m.entries, m.cols, target, strict=False)
+        cert = tree_like_subsequence(lifted(m), target)
+        assert (tree, tuple(reps)) == (cert.tree, cert.sequence.indices)

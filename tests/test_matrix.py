@@ -175,6 +175,10 @@ def test_parse_format_round_trip():
 def test_parse_accepts_comments_and_decimals():
     m = parse_matrix("# header\n1 2\n# mid\n0.5 -3\n")
     assert m.entries == ((Fraction(1, 2), -3),)
+    # an all-integer row and a mixed row parse to the same exact types as from_rows gives
+    m = parse_matrix("2 3\n+4 -0 7\n2/4 1e1 3\n")
+    assert m == Matrix.from_rows([[4, 0, 7], [Fraction(1, 2), Fraction(10), 3]])
+    assert [type(v) for v in m.entries[1]] == [Fraction, Fraction, int]
 
 
 @pytest.mark.parametrize(
@@ -185,6 +189,9 @@ def test_parse_accepts_comments_and_decimals():
         ("2 2\n1 2\n3\n", 3),
         ("2 2\n1 2\n3 x\n", 3),
         ("0 2\n", 1),
+        ("2 2\n1 2\n3 1_0\n", 3),
+        ("2 2\n1 2\n1/2 1_0.5\n", 3),
+        ("1_0 2\n" + "1 2\n" * 10, 1),
     ],
 )
 def test_parse_errors_name_lines(text, line):
