@@ -34,7 +34,6 @@ from .matrix import (
     parse_matrix,
     sign_diff,
     submatrix,
-    tie_break_compare,
 )
 from .oracle import (
     SearchBudget,
@@ -58,7 +57,6 @@ from .witness import (
     WitnessCheckReport,
     WitnessMatrix,
     build_witness,
-    colex_compare,
     colex_delta,
     colex_unrank,
     sample_sign_matrix,
@@ -90,7 +88,6 @@ __all__ = [
     "brute_force_monotone",
     "brute_force_row_monotone",
     "build_witness",
-    "colex_compare",
     "colex_delta",
     "colex_unrank",
     "common_ancestor",
@@ -113,7 +110,6 @@ __all__ = [
     "sample_sign_matrix",
     "sign_diff",
     "submatrix",
-    "tie_break_compare",
     "tree_like_subsequence",
     "verify_witness",
 ]

@@ -184,6 +184,9 @@ def cmd_verify(args) -> int:
 
     if kind == "matrix":
         m = parse_matrix(text)
+        if args.structural:
+            print("the structural check needs a witness or sign file", file=sys.stderr)
+            return EXIT_INPUT
         found = oracle.brute_force_row_monotone(
             m, args.n, oracle.SearchBudget(args.budget, args.budget)
         )
@@ -302,7 +305,9 @@ def _lemma_split(args, rng) -> dict:
 
 def _lemma_tree(args, rng) -> dict:
     d, m = args.d, args.m
-    n_cols = args.N if args.N else 1 << (m * (d + 1))
+    if args.N > 1 << 20 or not args.N and m * (d + 1) > 20:
+        raise MonomatError("lemma 3.2 would build more than 2^20 vectors")
+    n_cols = args.N or 1 << (m * (d + 1))
     vectors = _random_distinct_vectors(rng, d, n_cols)
     seq = extraction.IndexedSequence.from_vectors(vectors)
     cert = extraction.tree_like_subsequence(seq, m)
@@ -313,13 +318,15 @@ def _lemma_tree(args, rng) -> dict:
         "m": m,
         "N": n_cols,
         "length": len(cert.sequence),
-        "regime": n_cols >= 1 << (m * (d + 1)),
+        "regime": n_cols.bit_length() > m * (d + 1),
         "check": "OK" if ok else "FAIL",
     }
 
 
 def _lemma_perfect(args, rng) -> dict:
     d, m, target = args.d, args.m, args.t
+    if m > 20:
+        raise MonomatError("lemma 3.3 would build more than 2^20 labels")
     labels = {}
     for depth in range(m):
         for pos in range(1, (1 << depth) + 1):
@@ -412,6 +419,13 @@ def positive_int(text: str) -> int:
     return value
 
 
+def non_negative_int(text: str) -> int:
+    """argparse type for lemma sizes where 0 is meaningful (--N 0 means auto)."""
+    if (value := int(text)) < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def int_list(text: str) -> tuple[int, ...]:
     """argparse type for a comma-separated list of integers; '' is the empty list."""
     return tuple(int(z) for z in text.split(",")) if text else ()
@@ -459,12 +473,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_lem = sub.add_parser("lemma", help="demonstrate one constructive step on a random instance")
     p_lem.add_argument("id", choices=sorted(_LEMMAS))
-    p_lem.add_argument("--d", type=int, default=1)
-    p_lem.add_argument("--N", type=int, default=0)
-    p_lem.add_argument("--m", type=int, default=3)
-    p_lem.add_argument("--t", type=int, default=2)
-    p_lem.add_argument("--n", type=int, default=3)
-    p_lem.add_argument("--s", type=int, default=2)
+    p_lem.add_argument("--d", type=positive_int, default=1)
+    p_lem.add_argument("--N", type=non_negative_int, default=0)
+    p_lem.add_argument("--m", type=non_negative_int, default=3)
+    p_lem.add_argument("--t", type=non_negative_int, default=2)
+    p_lem.add_argument("--n", type=positive_int, default=3)
+    p_lem.add_argument("--s", type=non_negative_int, default=2)
     p_lem.add_argument("--Z", type=int_list, default="", help="comma-separated depths, lemma 2.3")
     common(p_lem)
     p_lem.set_defaults(func=cmd_lemma)

@@ -13,9 +13,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import (
+    BudgetExceededError,
     InsufficientLengthError,
     InsufficientTreeError,
     InternalCheckError,
@@ -320,28 +320,67 @@ def perfect_leafset_extract(tree: LabeledBinaryTree, target: int):
     return levels[target]
 
 
+def single_sign_levels(columns, rows: int, n: int, s: int, max_col_subsets: int | None = None):
+    """Column subsets of size 0, 1, ..., s on which n rows share one sign.
+
+    columns holds one +1/-1 sequence of length `rows` per column. Yields one
+    list per depth: the (subset, plus rows, minus rows) of every subset of
+    that size, in lexicographic order, on which some sign keeps n rows. The
+    masks are row bitmasks, and a sign holding fewer than n rows reads 0.
+    Only those subsets are extended, and the levels stop at the first empty
+    one, so a level of depth s is yielded exactly when n rows share s
+    single-sign columns. Raises BudgetExceededError once more than
+    max_col_subsets column extensions have been tallied.
+    """
+    full = (1 << rows) - 1
+    plus_rows = [sum(1 << a for a, v in enumerate(col) if v > 0) for col in columns]
+    minus_rows = [full ^ p for p in plus_rows]
+    t = len(plus_rows)
+    level = [((), full, full)] if n <= rows else []
+    tallied = 0
+    for depth in range(s + 1):
+        if not level:
+            return
+        yield level
+        if depth == s:
+            return
+        tallied += sum(t - (c[-1] + 1 if c else 0) for c, _, _ in level)
+        if max_col_subsets is not None and tallied > max_col_subsets:
+            raise BudgetExceededError(f"column-subset budget {max_col_subsets} exhausted")
+        nxt = []
+        for subset, plus, minus in level:
+            for j in range(subset[-1] + 1 if subset else 0, t):
+                p, m = plus & plus_rows[j], minus & minus_rows[j]
+                p, m = p if p.bit_count() >= n else 0, m if m.bit_count() >= n else 0
+                if p or m:
+                    nxt.append((subset + (j,), p, m))
+        level = nxt
+
+
+def lowest_rows(mask: int, n: int) -> tuple[int, ...]:
+    """The first n rows of a row bitmask."""
+    return tuple(a for a in range(mask.bit_length()) if mask >> a & 1)[:n]
+
+
 def monochromatic_submatrix(cm: ColoredMatrix, n: int, s: int):
     """First n x s single-color block, or None.
 
     Guaranteed to exist when t >= 4s^2 and d >= 4n * 2^s. Red is tried before
-    blue; rows are scanned top down and the s-subsets of each row's colored
-    columns are tallied in lexicographic order, stopping at the first subset
-    seen in n rows.
+    blue. Within a color the block is the s-subset of columns whose n-th row
+    comes first, then the lexicographically first such subset, with its first
+    n rows: the first subset a top-down scan of the rows sees n times.
     """
     if n < 1 or s < 0:
         raise ValueError("need n >= 1 and s >= 0")
-    if n > cm.rows or s > cm.cols:
+    columns = [[1 if c == RED else -1 for c in col] for col in zip(*cm.entries)]
+    levels = list(single_sign_levels(columns, cm.rows, n, s))
+    if len(levels) <= s:
         return None
-    for color in (RED, BLUE):
-        table: dict[tuple, list[int]] = {}
-        for a in range(cm.rows):
-            row = cm.entries[a]
-            colored_cols = [j for j in range(cm.cols) if row[j] == color]
-            for subset in combinations(colored_cols, s):
-                rows_seen = table.setdefault(subset, [])
-                rows_seen.append(a)
-                if len(rows_seen) == n:
-                    return tuple(rows_seen), subset, color
+    for color, side in ((RED, 1), (BLUE, 2)):
+        blocks = [(lowest_rows(entry[side], n), entry[0]) for entry in levels[s] if entry[side]]
+        if blocks:
+            rows, subset = min(blocks, key=lambda block: block[0][-1])
+            return rows, subset, color
     return None
 
 

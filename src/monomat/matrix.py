@@ -6,6 +6,7 @@ are 0-based throughout the Python API.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -40,10 +41,6 @@ def sign_diff(v, w) -> SignVector:
             raise TiedCoordinateError(a)
         out.append(1 if y > x else -1)
     return tuple(out)
-
-
-def negate_sign(s: SignVector) -> SignVector:
-    return tuple(-x for x in s)
 
 
 def sign_str(s: SignVector) -> str:
@@ -150,21 +147,6 @@ def is_monotone(m: Matrix):
     return row_dir, col_dir
 
 
-def tie_break_compare(m: Matrix, a: int, i: int, j: int) -> int:
-    """Strict comparison of columns i and j within row a; -1 for '<', 1 for '>'.
-
-    Equal entries are ordered by column index, which realizes a symbolic
-    perturbation: the induced order is total and any witness found under it is
-    weakly valid for the original values.
-    """
-    if i == j:
-        raise ValueError("tie_break_compare needs two distinct columns")
-    x, y = m.entry(a, i), m.entry(a, j)
-    if x != y:
-        return -1 if x < y else 1
-    return -1 if i < j else 1
-
-
 @dataclass(frozen=True)
 class SubmatrixWitness:
     """Row set, column set, and directions certifying a found submatrix.
@@ -266,6 +248,11 @@ def _parse_value(token: str, lineno: int):
             num, den = token.split("/")
             return Fraction(int(num), int(den))
         if "." in token or "e" in token or "E" in token:
+            # Fraction computes 10**exponent whatever its size; hold it to int()'s
+            # digit limit (0 means none).
+            exponent, limit = token.lower().partition("e")[2], sys.get_int_max_str_digits()
+            if exponent and limit and abs(int(exponent)) > limit:
+                raise FormatError(lineno, f"exponent of {token!r} is out of range (limit {limit})")
             return Fraction(token)
     except (ValueError, ZeroDivisionError):
         pass

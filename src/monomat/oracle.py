@@ -29,7 +29,6 @@ class SearchBudget:
 
     max_row_subsets: int = 10_000_000
     max_col_subsets: int = 10_000_000
-    lexicographic: bool = True
 
     def __post_init__(self):
         if self.max_row_subsets < 1 or self.max_col_subsets < 1:

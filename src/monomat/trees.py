@@ -26,14 +26,6 @@ def _check_leaf(m: int, leaf: int):
         raise LeafOutOfRangeError(f"leaf {leaf} outside 1..2^{m}")
 
 
-def ancestor_at_depth(m: int, leaf: int, depth: int) -> Vertex:
-    """Ancestor of a leaf of the height-m tree at the given depth."""
-    _check_leaf(m, leaf)
-    if not 0 <= depth <= m:
-        raise DepthOutOfRangeError(f"depth {depth} outside 0..{m}")
-    return depth, ((leaf - 1) >> (m - depth)) + 1
-
-
 def leaf_ancestor(m: int, a: int, b: int) -> Vertex:
     """Common ancestor of leaves a and b of the height-m tree.
 
@@ -148,77 +140,6 @@ class InducedTree:
             return None
         h = depths.pop()
         return h if len(self.vertices) == (1 << (h + 1)) - 1 else None
-
-    def structural_ancestor(self, u: Vertex, v: Vertex) -> Vertex:
-        """Common ancestor of two induced vertices computed via parent walks."""
-        seen = {u}
-        x = u
-        while x in self.parent:
-            x = self.parent[x]
-            seen.add(x)
-        while v not in seen:
-            v = self.parent[v]
-        return v
-
-    def debug_string(self, labels=None) -> str:
-        """Parenthesized rendering for inspection: (root child child ...).
-
-        Leaves print as their ambient leaf number; internal vertices print
-        their (depth, position) pair and, when a labeling is supplied, the
-        label as a +/- string.
-        """
-        from .matrix import sign_str
-
-        def render(v):
-            kids = self.children[v]
-            if not kids:
-                return str(v[1])
-            tag = f"{v[0]}.{v[1]}"
-            if labels is not None and v in labels:
-                tag += f":{sign_str(labels[v])}"
-            return "(" + tag + " " + " ".join(render(c) for c in kids) + ")"
-
-        return render(self.root)
-
-    def restrict(self, leaf_subset) -> "InducedTree":
-        """Subtree induced by a subset of the leaves, built from parent walks.
-
-        Uses only this tree's own structure, so it independently realizes the
-        identity (T[X])[Y] = T[Y].
-        """
-        leaves = tuple(sorted(set(leaf_subset)))
-        if not leaves:
-            raise EmptySetError("restriction to an empty leaf set")
-        own = set(self.leaf_set)
-        if any(leaf not in own for leaf in leaves):
-            raise ValueError("restriction leaves must belong to this tree")
-        verts = {(self.height, leaf) for leaf in leaves}
-        for i, a in enumerate(leaves):
-            for b in leaves[i + 1 :]:
-                verts.add(self.structural_ancestor((self.height, a), (self.height, b)))
-        out = InducedTree.__new__(InducedTree)
-        out.height = self.height
-        out.leaf_set = leaves
-        out.vertices = tuple(sorted(verts))
-        root = (self.height, leaves[0])
-        for v in verts:
-            if v[0] < root[0]:
-                root = v
-        out.root = root
-        out.parent = {}
-        for v in out.vertices:
-            walk = v
-            while walk in self.parent:
-                walk = self.parent[walk]
-                if walk in verts:
-                    out.parent[v] = walk
-                    break
-        out.children = {v: [] for v in out.vertices}
-        for v, p in out.parent.items():
-            out.children[p].append(v)
-        for kids in out.children.values():
-            kids.sort(key=lambda v: v[1])
-        return out
 
 
 def induced_subtree(m: int, leaf_set) -> InducedTree:

@@ -21,7 +21,6 @@ from math import comb
 from typing import ClassVar
 
 from .errors import (
-    BudgetExceededError,
     EqualVectorsError,
     ExhaustedAttemptsError,
     FormatError,
@@ -30,7 +29,7 @@ from .errors import (
     MonomatError,
     RankOutOfRangeError,
 )
-from .extraction import ColoredMatrix
+from .extraction import lowest_rows, single_sign_levels
 from .matrix import DECREASING, INCREASING, Matrix, ceil_log2, meaningful_lines
 
 BitVector = tuple[int, ...]
@@ -44,16 +43,6 @@ def colex_delta(x: BitVector, y: BitVector) -> int:
         if x[i] != y[i]:
             return i + 1
     raise EqualVectorsError("vectors are equal")
-
-
-def colex_compare(x: BitVector, y: BitVector) -> int:
-    """-1, 0, or 1 comparing in colexicographic order."""
-    if len(x) != len(y):
-        raise LengthMismatchError(f"length mismatch: {len(x)} vs {len(y)}")
-    if x == y:
-        return 0
-    b = colex_delta(x, y)
-    return -1 if y[b - 1] == 1 else 1
 
 
 def colex_unrank(t: int, k: int) -> BitVector:
@@ -100,12 +89,6 @@ class SignMatrix:
         if not 0 <= j < self.cols:
             raise IndexOutOfBoundsError(f"column {j} outside 0..{self.cols - 1}")
         return tuple(row[j] for row in self.entries)
-
-    def to_colored(self) -> ColoredMatrix:
-        """+1 becomes red, -1 becomes blue."""
-        return ColoredMatrix.from_sign_columns(
-            [self.col(j) for j in range(self.cols)], dim=self.rows
-        )
 
 
 def parse_sign_matrix(text: str) -> SignMatrix:
@@ -207,22 +190,21 @@ def sample_sign_matrix(
 ) -> SignMatrix:
     """Uniform d x t sign matrix certified free of n x s single-sign blocks.
 
-    Rejection sampling against the brute-force block finder; the certificate
-    is the exhaustive check itself. Raises ExhaustedAttemptsError when no
-    sample passes, which signals parameters where such matrices are rare or
+    Rejection sampling; the certificate is the exact single-sign tally
+    (extraction.single_sign_levels) that verify_witness and the pipeline's
+    block search share, which reaches depth s exactly when some n rows share
+    s single-sign columns. Raises ExhaustedAttemptsError when no sample
+    passes, which signals parameters where such matrices are rare or
     nonexistent.
     """
-    from . import oracle
-
     if d < 1 or t < 1 or n < 1 or s < 1:
         raise ValueError("dimensions and targets must be positive")
     rng = random.Random(seed)
-    budget = oracle.SearchBudget(max_col_subsets=comb(t, s) + 1)
     for _ in range(max_attempts):
         candidate = SignMatrix.from_rows(
             [[1 - 2 * rng.getrandbits(1) for _ in range(t)] for _ in range(d)]
         )
-        if oracle.brute_force_monochromatic(candidate.to_colored(), n, s, budget) is None:
+        if len(list(single_sign_levels(zip(*candidate.entries), d, n, s))) <= s:
             return candidate
     raise ExhaustedAttemptsError(max_attempts)
 
@@ -273,13 +255,14 @@ def verify_witness(w: WitnessMatrix, n: int, max_col_subsets: int = 10**6) -> Wi
     For a row set R let B+ (B-) be the sign-matrix columns constant +1 (-1)
     on R: witness columns monotone on R pairwise differ inside one of them,
     so at most 2^max(|B+|, |B-|) qualify. The verdict is FAIL exactly when n
-    rows share s = ceil(log2 n) single-sign columns. For j = 0..s the check
-    tallies the rows constant in each sign on each j-subset of columns,
-    extending a subset only while some sign keeps n rows. The first failing
-    row set is the least of the first n rows of the deepest tallies, so the
-    report equals that of enumerating all C(d, n) row sets (row_set_profiles)
-    at a cost of at most sum_{1<=j<=s} C(t, j) tallies of d rows. Raises
-    BudgetExceededError past max_col_subsets tallied column subsets.
+    rows share s = ceil(log2 n) single-sign columns. For j = 0..s the shared
+    tally single_sign_levels finds the rows constant in each sign on each
+    j-subset of columns, extending a subset only while some sign keeps n
+    rows. The first failing row set is the least of the first n rows of the
+    deepest tallies, so the report equals that of enumerating all C(d, n)
+    row sets (row_set_profiles) at a cost of at most sum_{1<=j<=s} C(t, j)
+    tallies of d rows. Raises BudgetExceededError past max_col_subsets
+    tallied column subsets.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -287,33 +270,13 @@ def verify_witness(w: WitnessMatrix, n: int, max_col_subsets: int = 10**6) -> Wi
     if n > d:  # no row set to test
         return WitnessCheckReport("PASS", n, 0, 0, 0, 0, 1, (), (), ())
     entries = w.signs.entries
-    plus_rows = [sum(1 << a for a in range(d) if entries[a][j] > 0) for j in range(t)]
-    minus_rows = [sum(1 << a for a in range(d) if entries[a][j] < 0) for j in range(t)]
     s = ceil_log2(n)
-    # (next column, rows all + on the subset, rows all - on it) per surviving
-    # subset of `depth` columns; a sign holding fewer than n rows reads 0.
-    level = [(0, (1 << d) - 1, (1 << d) - 1)]
-    depth = max_plus = max_minus = tallied = 0
-    while depth < s:
-        tallied += sum(t - start for start, _, _ in level)
-        if tallied > max_col_subsets:
-            raise BudgetExceededError(f"column-subset budget {max_col_subsets} exhausted")
-        nxt = []
-        for start, plus, minus in level:
-            for j in range(start, t):
-                p, m = plus & plus_rows[j], minus & minus_rows[j]
-                p, m = p if p.bit_count() >= n else 0, m if m.bit_count() >= n else 0
-                if p or m:
-                    nxt.append((j + 1, p, m))
-        if not nxt:
-            break
-        depth += 1
-        level = nxt
+    max_plus = max_minus = 0
+    for depth, level in enumerate(single_sign_levels(zip(*entries), d, n, s, max_col_subsets)):
         max_plus = depth if any(p for _, p, _ in level) else max_plus
         max_minus = depth if any(m for _, _, m in level) else max_minus
 
-    masks = [mask for _, p, m in level for mask in (p, m) if mask]
-    rows = min(tuple(a for a in range(d) if mask >> a & 1)[:n] for mask in masks)
+    rows = min(lowest_rows(mask, n) for _, p, m in level for mask in (p, m) if mask)
     plus = tuple(j for j in range(t) if all(entries[r][j] > 0 for r in rows))
     minus = tuple(j for j in range(t) if all(entries[r][j] < 0 for r in rows))
     failed = depth == s

@@ -1,9 +1,12 @@
 """Command-line contract: exit codes, artifacts, round trips, determinism."""
 
 import json
+import random
+from types import SimpleNamespace
 
 import pytest
 
+from monomat import cli
 from monomat.cli import main, parse_witness_file
 from monomat.matrix import format_matrix, parse_matrix
 from monomat.witness import build_witness, sample_sign_matrix
@@ -181,6 +184,13 @@ def test_verify_structural_budget_never_passes(tmp_path, capsys):
         ["witness", "--d", "2", "--t", "2", "--n", "2", "--s", "1", "--budget", "0"],
         ["witness", "--d", "x", "--t", "2", "--n", "2", "--s", "1"],
         ["lemma", "2.3", "--Z", "1,x"],
+        ["lemma", "3.2", "--m", "-1"],
+        ["lemma", "2.3", "--m", "-1"],
+        ["lemma", "2.4", "--n", "0"],
+        ["lemma", "2.4", "--s", "-1"],
+        ["lemma", "3.3", "--m", "2", "--t", "-1"],
+        ["lemma", "3.1", "--d", "-1", "--N", "4"],
+        ["lemma", "3.1", "--N", "-1"],
     ],
 )
 def test_non_positive_sizes_exit_2(argv, inc_matrix, tmp_path, monkeypatch, capsys):
@@ -190,6 +200,34 @@ def test_non_positive_sizes_exit_2(argv, inc_matrix, tmp_path, monkeypatch, caps
     assert exc.value.code == 2
     assert "Traceback" not in capsys.readouterr().err
     assert not list(tmp_path.glob("witness.*"))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lemma", "3.2", "--d", "1", "--m", "11"],
+        ["lemma", "3.2", "--N", str((1 << 20) + 1)],
+        ["lemma", "3.3", "--m", "21"],
+    ],
+)
+def test_lemma_refuses_more_than_2_20_before_allocating(argv, monkeypatch, capsys):
+    class NoDraws(random.Random):
+        def sample(self, *args, **kwargs):
+            raise AssertionError("the lemma started building its input")
+
+        getrandbits = sample
+
+    # Without the refusal the lemma would draw 2^21 or more random values.
+    monkeypatch.setattr(cli, "random", SimpleNamespace(Random=NoDraws))
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "more than 2^20" in captured.err
+
+
+def test_verify_structural_on_matrix_file_exit_2(inc_matrix, capsys):
+    assert run(["verify", inc_matrix, "--n", 2, "--structural"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "witness or sign file" in captured.err
 
 
 def test_witness_materialize_beyond_t20_refused_before_writing(tmp_path, capsys):

@@ -12,6 +12,7 @@ from monomat.extraction import (
     ColoredMatrix,
     monochromatic_submatrix,
     monotone_subsequence_1d,
+    single_sign_levels,
 )
 from monomat.matrix import (
     INCREASING,
@@ -137,26 +138,58 @@ def test_brute_force_monochromatic_examples():
     assert brute_force_monochromatic(one_blue, 2, 2) is None
 
 
+def first_block_by_row_scan(cm, n, s):
+    """Reference block search: scan rows top down, tallying each row's s-subsets per color.
+
+    Red before blue; the first subset seen in n rows wins, with those n rows.
+    """
+    if n > cm.rows or s > cm.cols:
+        return None
+    for color in (RED, BLUE):
+        table: dict[tuple, list[int]] = {}
+        for a in range(cm.rows):
+            row = cm.entries[a]
+            colored_cols = [j for j in range(cm.cols) if row[j] == color]
+            for subset in combinations(colored_cols, s):
+                rows_seen = table.setdefault(subset, [])
+                rows_seen.append(a)
+                if len(rows_seen) == n:
+                    return tuple(rows_seen), subset, color
+    return None
+
+
 def test_brute_force_monochromatic_agrees_with_constructive():
     rng = random.Random(9)
-    for _ in range(500):
-        d = rng.randrange(1, 7)
-        t = rng.randrange(1, 7)
-        n = rng.randrange(1, 4)
+    for _ in range(1500):
+        d = rng.randrange(1, 9)
+        t = rng.randrange(0, 8)  # n > d and s > t both occur
+        n = rng.randrange(1, 5)
         s = rng.randrange(0, 4)
+        red = rng.choice((0.15, 0.5, 0.85))
         cm = ColoredMatrix(
-            tuple(
-                tuple(RED if rng.getrandbits(1) else BLUE for _ in range(t)) for _ in range(d)
-            )
+            tuple(tuple(RED if rng.random() < red else BLUE for _ in range(t)) for _ in range(d))
         )
-        ours = monochromatic_submatrix(cm, n, s)
+        expected = first_block_by_row_scan(cm, n, s)
+        assert monochromatic_submatrix(cm, n, s) == expected
         oracle = brute_force_monochromatic(cm, n, s)
-        assert (ours is None) == (oracle is None)
-        for result in (ours, oracle):
-            if result is not None:
-                rows, cols, color = result
-                assert len(rows) == n and len(cols) == s
-                assert all(cm.entries[a][j] == color for a in rows for j in cols)
+        assert (oracle is None) == (expected is None)
+        if oracle is not None:
+            rows, cols, color = oracle
+            assert len(rows) == n and len(cols) == s
+            assert all(cm.entries[a][j] == color for a in rows for j in cols)
+        # The tally's depth-s level lists every s-subset some color holds on n rows.
+        columns = [[1 if c == RED else -1 for c in col] for col in zip(*cm.entries)]
+        levels = list(single_sign_levels(columns, d, n, s))
+        held = []
+        for cols in combinations(range(t), s):
+            masks = [
+                sum(1 << a for a in range(d) if all(cm.entries[a][j] == color for j in cols))
+                for color in (RED, BLUE)
+            ]
+            masks = [mask if mask.bit_count() >= n else 0 for mask in masks]
+            if any(masks):
+                held.append((cols, *masks))
+        assert (levels[s] if len(levels) > s else []) == held
 
 
 def exhaustive_has_monotone(seq, n):

@@ -14,7 +14,6 @@ from monomat.errors import (
 from monomat.trees import (
     InducedTree,
     LabeledBinaryTree,
-    ancestor_at_depth,
     common_ancestor,
     induced_subtree,
     is_ancestor,
@@ -28,7 +27,7 @@ from monomat.trees import (
 
 def path_to_root(m, leaf):
     """Ancestor chain of a leaf, deepest first, by repeated halving."""
-    return [ancestor_at_depth(m, leaf, depth) for depth in range(m, -1, -1)]
+    return [(depth, ((leaf - 1) >> (m - depth)) + 1) for depth in range(m, -1, -1)]
 
 
 def leaf_ancestor_by_walking(m, a, b):
@@ -114,41 +113,6 @@ def test_induced_subtree_parents_are_nearest_induced_ancestors():
 def all_nonempty_subsets(items):
     for size in range(1, len(items) + 1):
         yield from combinations(items, size)
-
-
-def test_restriction_coherence_exhaustive_small():
-    # (T[X])[Y] == T[Y], exhaustively for m <= 3
-    for m in range(0, 4):
-        leaves = tuple(range(1, (1 << m) + 1))
-        for x_set in all_nonempty_subsets(leaves):
-            tx = induced_subtree(m, x_set)
-            for y_set in all_nonempty_subsets(x_set):
-                assert tx.restrict(y_set) == induced_subtree(m, y_set)
-
-
-def test_restriction_coherence_m4_bounded():
-    # m = 4 with |X| <= 4 exhaustive; full power set is out of reach
-    m = 4
-    leaves = tuple(range(1, 17))
-    for size in range(1, 5):
-        for x_set in combinations(leaves, size):
-            tx = induced_subtree(m, x_set)
-            for y_set in all_nonempty_subsets(x_set):
-                assert tx.restrict(y_set) == induced_subtree(m, y_set)
-
-
-def test_delta_agrees_on_induced_vertices():
-    # the induced tree's structural ancestor equals the ambient one
-    rng = random.Random(7)
-    m = 5
-    for _ in range(100):
-        x_set = rng.sample(range(1, 33), rng.randrange(2, 9))
-        t = induced_subtree(m, x_set)
-        verts = t.vertices
-        for _ in range(10):
-            u = rng.choice(verts)
-            v = rng.choice(verts)
-            assert t.structural_ancestor(u, v) == vertex_ancestor(m, u, v)
 
 
 def _roots_by_subset(m):
@@ -313,14 +277,6 @@ def test_labeled_tree_validation():
         LabeledBinaryTree(height=1, dim=1, labels={})
     with pytest.raises(ValueError):
         LabeledBinaryTree(height=1, dim=1, labels={(1, 1): (1,)})
-
-
-def test_debug_string():
-    t = induced_subtree(2, [1, 2, 3])
-    assert t.debug_string() == "(0.1 (1.1 1 2) 3)"
-    labeled = constant_tree(2, 1)
-    assert t.debug_string(labeled.labels) == "(0.1:+ (1.1:+ 1 2) 3)"
-    assert induced_subtree(2, [4]).debug_string() == "4"
 
 
 def test_induced_tree_small_vertex_bound():

@@ -2,12 +2,12 @@
 
 import random
 from fractions import Fraction
-from functools import cmp_to_key
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from monomat import oracle
 from monomat.errors import (
     BudgetExceededError,
     EqualVectorsError,
@@ -16,13 +16,13 @@ from monomat.errors import (
     LengthMismatchError,
     RankOutOfRangeError,
 )
+from monomat.extraction import BLUE, RED, ColoredMatrix
 from monomat.matrix import INCREASING, Matrix, format_matrix, sign_diff
-from monomat.oracle import SearchBudget, brute_force_row_monotone
+from monomat.oracle import SearchBudget, brute_force_monochromatic, brute_force_row_monotone
 from monomat.witness import (
     SignMatrix,
     WitnessMatrix,
     build_witness,
-    colex_compare,
     colex_delta,
     colex_unrank,
     format_sign_matrix,
@@ -34,23 +34,13 @@ from monomat.witness import (
 )
 
 
-def test_colex_compare_examples():
-    assert colex_compare((1, 0), (0, 1)) == -1  # highest differing coordinate is 2, y holds 1
-    assert colex_compare((1, 1), (1, 1)) == 0
-    order = [(0, 0), (1, 0), (0, 1), (1, 1)]
-    for i, x in enumerate(order):
-        for j, y in enumerate(order):
-            expected = (i > j) - (i < j)
-            assert colex_compare(x, y) == expected
-    with pytest.raises(LengthMismatchError):
-        colex_compare((0,), (0, 1))
-
-
 def test_colex_delta():
     assert colex_delta((0, 0), (1, 0)) == 1
     assert colex_delta((1, 0), (0, 1)) == 2
     with pytest.raises(EqualVectorsError):
         colex_delta((1, 1), (1, 1))
+    with pytest.raises(LengthMismatchError):
+        colex_delta((0,), (0, 1))
 
 
 def test_colex_delta_matches_linear_scan():
@@ -77,7 +67,7 @@ def test_colex_unrank_examples():
 @pytest.mark.parametrize("t", range(0, 11))
 def test_colex_sort_reproduces_rank_order(t):
     vectors = [colex_unrank(t, k) for k in range(1, (1 << t) + 1)]
-    assert sorted(vectors, key=cmp_to_key(colex_compare)) == vectors
+    assert sorted(vectors, key=lambda v: v[::-1]) == vectors
 
 
 def test_build_witness_small_instance():
@@ -142,6 +132,37 @@ def test_sample_sign_matrix_verified_and_deterministic():
 def test_sample_sign_matrix_trivially_small():
     sm = sample_sign_matrix(1, 1, 2, 2, seed=0)
     assert sm.rows == 1 and sm.cols == 1  # no 2x2 submatrix exists at all
+
+
+def rejection_sample(d, t, n, s, seed, max_attempts):
+    """The sampler by definition: the first uniform draw with no n x s block."""
+    rng = random.Random(seed)
+    for _ in range(max_attempts):
+        rows = [[1 - 2 * rng.getrandbits(1) for _ in range(t)] for _ in range(d)]
+        colored = ColoredMatrix(tuple(tuple(RED if v > 0 else BLUE for v in row) for row in rows))
+        if brute_force_monochromatic(colored, n, s) is None:
+            return SignMatrix.from_rows(rows)
+    return None
+
+
+@pytest.mark.parametrize(
+    "d,t,n,s,seeds",
+    # Some seeds exhaust their attempts; the last two have n > d and s > t.
+    [(16, 12, 8, 3, 6), (6, 5, 3, 2, 40), (12, 6, 3, 3, 20), (10, 8, 4, 3, 20), (4, 3, 5, 1, 3),
+     (3, 2, 2, 3, 3)],
+)
+def test_sample_sign_matrix_matches_rejection_over_brute_force(d, t, n, s, seeds, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the sampler must certify with its own tally")
+
+    expected = [rejection_sample(d, t, n, s, seed, 50) for seed in range(seeds)]
+    monkeypatch.setattr(oracle, "brute_force_monochromatic", refuse)
+    for seed in range(seeds):
+        try:
+            got = sample_sign_matrix(d, t, n, s, seed=seed, max_attempts=50)
+        except ExhaustedAttemptsError:
+            got = None
+        assert got == expected[seed]
 
 
 def test_sample_sign_matrix_impossible_target():
