@@ -275,10 +275,17 @@ def _random_distinct_vectors(rng: random.Random, d: int, count: int):
     return [tuple(coords[a][i] for a in range(d)) for i in range(count)]
 
 
+def _refuse_beyond_2_20(lemma: str, values: int):
+    """Refuse a lemma input of more than 2^20 values before drawing any of them."""
+    if values > 1 << 20:
+        raise MonomatError(f"lemma {lemma} would build more than 2^20 values")
+
+
 def _lemma_split(args, rng) -> dict:
     d, n_cols = args.d, args.N
     if n_cols < 2:
         raise MonomatError("lemma 3.1 needs --N >= 2")
+    _refuse_beyond_2_20("3.1", d * n_cols)
     vectors = _random_distinct_vectors(rng, d, n_cols)
     seq = extraction.IndexedSequence.from_vectors(vectors)
     sign, first, second = extraction.bipartite_split(seq)
@@ -305,9 +312,9 @@ def _lemma_split(args, rng) -> dict:
 
 def _lemma_tree(args, rng) -> dict:
     d, m = args.d, args.m
-    if args.N > 1 << 20 or not args.N and m * (d + 1) > 20:
-        raise MonomatError("lemma 3.2 would build more than 2^20 vectors")
-    n_cols = args.N or 1 << (m * (d + 1))
+    # Past 2^20 columns the input is too large at any d, so the shift stops at 21.
+    n_cols = args.N or 1 << min(m * (d + 1), 21)
+    _refuse_beyond_2_20("3.2", d * n_cols)
     vectors = _random_distinct_vectors(rng, d, n_cols)
     seq = extraction.IndexedSequence.from_vectors(vectors)
     cert = extraction.tree_like_subsequence(seq, m)
@@ -325,8 +332,7 @@ def _lemma_tree(args, rng) -> dict:
 
 def _lemma_perfect(args, rng) -> dict:
     d, m, target = args.d, args.m, args.t
-    if m > 20:
-        raise MonomatError("lemma 3.3 would build more than 2^20 labels")
+    _refuse_beyond_2_20("3.3", d * ((1 << min(m, 21)) - 1))
     labels = {}
     for depth in range(m):
         for pos in range(1, (1 << depth) + 1):
@@ -347,6 +353,7 @@ def _lemma_perfect(args, rng) -> dict:
 
 def _lemma_block(args, rng) -> dict:
     d, t, n, s = args.d, args.t, args.n, args.s
+    _refuse_beyond_2_20("2.4", d * t)
     entries = tuple(
         tuple(extraction.RED if rng.getrandbits(1) else extraction.BLUE for _ in range(t))
         for _ in range(d)
@@ -374,6 +381,9 @@ def _lemma_block(args, rng) -> dict:
 def _lemma_levels(args, rng) -> dict:
     m = args.m
     depths = args.Z
+    # The induced tree is quadratic in its 2^|Z| leaves, and a leaf number has m bits.
+    if m > 20 or len(set(depths)) > 10:
+        raise MonomatError("lemma 2.3 needs --m <= 20 and at most 10 distinct depths in --Z")
     leaf_set = trees.levels_leafset(m, depths)
     induced = trees.induced_subtree(m, leaf_set)
     ok = (

@@ -464,35 +464,146 @@ def _trivial_result(m: Matrix, n: int, kind: str, directions, guaranteed: bool):
             col_direction=directions[1],
         )
         detail = f"{directions[0]}/{directions[1]}"
-    met = k >= n
+    stages = [("fast_path", f"whole matrix is {kind} ({detail})")]
+    return _pipeline_result(witness, n, k, guaranteed, stages, "matrix size")
+
+
+def _pipeline_result(witness, n: int, achieved: int, guaranteed: bool, stages, bottleneck):
+    """The result record; a missed target in guaranteed mode is an internal breach."""
+    met = achieved >= n
+    if guaranteed and not met:
+        raise InternalCheckError(
+            "guaranteed preconditions held but the pipeline missed its target"
+        )
     return PipelineResult(
         witness=witness,
         target=n,
-        achieved=k,
+        achieved=achieved,
         met_target=met,
         guaranteed=guaranteed and met,
-        stages=(("fast_path", f"whole matrix is {kind} ({detail})"),),
-        bottleneck=None if met else "matrix size",
+        stages=tuple(stages),
+        bottleneck=None if met else bottleneck,
     )
 
 
-def _fallback_search(m: Matrix, n: int, kind: str, budget: int):
-    """Exhaustive search for an n x n witness when the whole space fits the budget.
+def _row_relations(row):
+    """Per column i, bitmasks of the later columns j with row[j] >= row[i] and row[j] <= row[i]."""
+    later = range(len(row))
+    up = [sum(1 << j for j in later[i + 1 :] if row[j] >= v) for i, v in enumerate(row)]
+    down = [sum(1 << j for j in later[i + 1 :] if row[j] <= v) for i, v in enumerate(row)]
+    return up, down
 
-    Returns (witness_or_None, searched: bool).
+
+def _chain_starts(rel, allowed: int, n: int):
+    """starts[k]: the columns of `allowed` that begin a rel-chain of k + 1 columns inside it.
+
+    Returns None when no chain inside `allowed` reaches n columns.
     """
-    from . import oracle
+    starts = [allowed]
+    while allowed and len(starts) < n:
+        prev, allowed, rest = allowed, 0, allowed
+        while rest:
+            low = rest & -rest
+            if rel[low.bit_length() - 1] & prev:
+                allowed |= low
+            rest ^= low
+        starts.append(allowed)
+    return starts if allowed else None
 
+
+def _first_chain(rel, starts) -> tuple[int, ...]:
+    """The lexicographically smallest chain of len(starts) columns, column by column."""
+    cols = []
+    allowed = -1
+    for layer in reversed(starts):
+        pick = allowed & layer
+        cols.append((pick & -pick).bit_length() - 1)
+        allowed = rel[cols[-1]]
+    return tuple(cols)
+
+
+def chain_search(m: Matrix, n: int, kind: str):
+    """First n x n witness of the kind in the oracle's order, or None.
+
+    Exact, and equal field for field to oracle.brute_force_row_monotone or
+    brute_force_monotone: row sets are visited depth first in lexicographic
+    order. A node keeps, per column, the later columns weakly above it in
+    every chosen row (up) and weakly below it (down); for MONOTONE also the
+    columns weakly increasing and weakly decreasing down the chosen rows. A
+    column set fits the chosen rows exactly when it is a chain of one
+    relation inside one allowed column mask. Adding a row only shrinks the
+    relations and the masks, so a node whose longest chain is shorter than n
+    is pruned. At n rows the lexicographically smallest chain wins, and ties
+    in direction go to increasing.
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
     if n > m.rows or n > m.cols:
-        return None, True
-    space = math.comb(m.rows, n) * math.comb(m.cols, n)
-    if space > budget:
-        return None, False
-    finder = (
-        oracle.brute_force_row_monotone if kind == ROW_MONOTONE else oracle.brute_force_monotone
-    )
-    bound = oracle.SearchBudget(max_row_subsets=space + 1, max_col_subsets=space + 1)
-    return finder(m, n, bound), True
+        return None
+    entries, size = m.entries, m.cols
+    full = (1 << size) - 1
+    relations = {}
+
+    def visit(chosen, up, down, inc, dec):
+        chains = [
+            (rel, starts)
+            for mask in {inc, dec}
+            for rel in (up, down)
+            if (starts := _chain_starts(rel, mask, n))
+        ]
+        if not chains:
+            return None
+        if len(chosen) == n:
+            cols = min(_first_chain(rel, starts) for rel, starts in chains)
+            rising = all(up[a] >> b & 1 for a, b in zip(cols, cols[1:]))
+            col_direction = None
+            if kind == MONOTONE:
+                col_direction = INCREASING if all(inc >> c & 1 for c in cols) else DECREASING
+            return SubmatrixWitness(
+                rows=chosen,
+                cols=cols,
+                kind=kind,
+                row_direction=INCREASING if rising else DECREASING,
+                col_direction=col_direction,
+            )
+        for r in range(chosen[-1] + 1 if chosen else 0, m.rows - n + len(chosen) + 1):
+            if r not in relations:
+                relations[r] = _row_relations(entries[r])
+            r_up, r_down = relations[r]
+            row_inc = row_dec = full
+            if chosen and kind == MONOTONE:
+                row, prev = entries[r], entries[chosen[-1]]
+                row_inc = sum(1 << i for i in range(size) if row[i] >= prev[i])
+                row_dec = sum(1 << i for i in range(size) if row[i] <= prev[i])
+            found = visit(
+                chosen + (r,),
+                [a & b for a, b in zip(up, r_up)],
+                [a & b for a, b in zip(down, r_down)],
+                inc & row_inc,
+                dec & row_dec,
+            )
+            if found is not None:
+                return found
+        return None
+
+    later = [full ^ ((2 << i) - 1) for i in range(size)]
+    return visit((), later, later, full, full)
+
+
+def _fallback_search(m: Matrix, n: int, kind: str, budget: int, stages: list):
+    """Exact chain search for an n x n witness when the whole space fits the budget.
+
+    The budget caps C(d, n) * C(N, n), the space a brute-force search would
+    enumerate. Records the outcome in stages when the search runs; returns
+    the witness or None.
+    """
+    found = None
+    if n <= m.rows and n <= m.cols:
+        if math.comb(m.rows, n) * math.comb(m.cols, n) > budget:
+            return None
+        found = chain_search(m, n, kind)
+    stages.append(("exhaustive_fallback", "witness found" if found else "no witness exists"))
+    return found
 
 
 def _check_guaranteed_row(m: Matrix, n: int):
@@ -581,19 +692,11 @@ def find_row_monotone(
         )
         break
 
-    met = achieved >= n
-    if not met:
-        found, searched = _fallback_search(m, n, ROW_MONOTONE, fallback_budget)
-        if found is not None:
-            witness = found
-            achieved = n
-            met = True
-            stages.append(("exhaustive_fallback", "witness found"))
-        elif searched:
-            stages.append(("exhaustive_fallback", "no witness exists"))
+    if achieved < n and (found := _fallback_search(m, n, ROW_MONOTONE, fallback_budget, stages)):
+        witness, achieved = found, n
 
     bottleneck = None
-    if not met:
+    if achieved < n:
         s_target = ceil_log2(n)
         if n > m.rows:
             bottleneck = "matrix size"
@@ -603,19 +706,7 @@ def find_row_monotone(
             bottleneck = "perfect_leafset_extract"
         else:
             bottleneck = "monochromatic_submatrix"
-    if guaranteed and not met:
-        raise InternalCheckError(
-            "guaranteed preconditions held but the pipeline missed its target"
-        )
-    return PipelineResult(
-        witness=witness,
-        target=n,
-        achieved=achieved,
-        met_target=met,
-        guaranteed=guaranteed and met,
-        stages=tuple(stages),
-        bottleneck=bottleneck,
-    )
+    return _pipeline_result(witness, n, achieved, guaranteed, stages, bottleneck)
 
 
 def find_monotone(
@@ -689,35 +780,15 @@ def find_monotone(
             raise InternalCheckError("pipeline produced an invalid monotone witness")
         achieved = inner.achieved
 
-    met = achieved >= n
-    if not met:
-        found, searched = _fallback_search(m, n, MONOTONE, fallback_budget)
-        if found is not None:
-            witness = found
-            achieved = n
-            met = True
-            stages.append(("exhaustive_fallback", "witness found"))
-        elif searched:
-            stages.append(("exhaustive_fallback", "no witness exists"))
+    if achieved < n and (found := _fallback_search(m, n, MONOTONE, fallback_budget, stages)):
+        witness, achieved = found, n
 
     bottleneck = None
-    if not met:
+    if achieved < n:
         if n > m.rows or n > m.cols:
             bottleneck = "matrix size"
         elif run_length < n or len(group_cols) < n:
             bottleneck = "pigeonhole_group"
         else:
             bottleneck = f"row_stage:{inner.bottleneck}" if inner.bottleneck else "row_stage"
-    if guaranteed and not met:
-        raise InternalCheckError(
-            "guaranteed preconditions held but the pipeline missed its target"
-        )
-    return PipelineResult(
-        witness=witness,
-        target=n,
-        achieved=achieved,
-        met_target=met,
-        guaranteed=guaranteed and met,
-        stages=tuple(stages),
-        bottleneck=bottleneck,
-    )
+    return _pipeline_result(witness, n, achieved, guaranteed, stages, bottleneck)

@@ -243,20 +243,25 @@ def _parse_value(token: str, lineno: int):
         return int(token)
     except ValueError:
         pass
+    limit = sys.get_int_max_str_digits()  # int()'s digit limit for str; 0 means none
     try:
         if "/" in token:
             num, den = token.split("/")
-            return Fraction(int(num), int(den))
-        if "." in token or "e" in token or "E" in token:
-            # Fraction computes 10**exponent whatever its size; hold it to int()'s
-            # digit limit (0 means none).
-            exponent, limit = token.lower().partition("e")[2], sys.get_int_max_str_digits()
+            value = Fraction(int(num), int(den))
+        elif "." in token or "e" in token or "E" in token:
+            # Fraction computes 10**exponent whatever its size; hold it to the limit.
+            exponent = token.lower().partition("e")[2]
             if exponent and limit and abs(int(exponent)) > limit:
                 raise FormatError(lineno, f"exponent of {token!r} is out of range (limit {limit})")
-            return Fraction(token)
+            value = Fraction(token)
+        else:
+            raise ValueError(token)
     except (ValueError, ZeroDivisionError):
-        pass
-    raise FormatError(lineno, f"bad value {token!r}")
+        raise FormatError(lineno, f"bad value {token!r}") from None
+    # format_matrix writes the value back with str(), which refuses more digits than the limit.
+    if limit and max(abs(value.numerator), value.denominator) >= 10**limit:
+        raise FormatError(lineno, f"{token!r} has more than {limit} digits")
+    return value
 
 
 def meaningful_lines(text: str):

@@ -35,15 +35,18 @@ class SearchBudget:
             raise ValueError("budgets must be positive")
 
 
-def _rows_direction(entries, rows, cols):
-    """Weak common direction of the selected rows, increasing preferred."""
+def _direction(lines, picks, steps):
+    """Weak direction shared by the picked lines along the steps, increasing preferred.
+
+    lines[a][i] is step i of line a; returns None when no direction fits.
+    """
     increasing = True
     decreasing = True
-    for a in rows:
-        row = entries[a]
-        prev = row[cols[0]]
-        for i in cols[1:]:
-            cur = row[i]
+    for a in picks:
+        line = lines[a]
+        prev = line[steps[0]]
+        for i in steps[1:]:
+            cur = line[i]
             if cur < prev:
                 increasing = False
             if cur > prev:
@@ -54,21 +57,33 @@ def _rows_direction(entries, rows, cols):
     return INCREASING if increasing else DECREASING
 
 
-def _cols_direction(entries, rows, cols):
-    increasing = True
-    decreasing = True
-    for i in cols:
-        prev = entries[rows[0]][i]
-        for a in rows[1:]:
-            cur = entries[a][i]
-            if cur < prev:
-                increasing = False
-            if cur > prev:
-                decreasing = False
-            if not increasing and not decreasing:
-                return None
-            prev = cur
-    return INCREASING if increasing else DECREASING
+def _first_witness(m: Matrix, n: int, budget: SearchBudget, kind: str):
+    """First n x n witness of the kind, rows outer and columns inner, or None."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    if n > m.rows or n > m.cols:
+        return None
+    entries = m.entries
+    columns = m.transpose().entries if kind == MONOTONE else None
+    row_count = 0
+    for rows in combinations(range(m.rows), n):
+        row_count += 1
+        if row_count > budget.max_row_subsets:
+            raise BudgetExceededError(f"row-subset budget {budget.max_row_subsets} exhausted")
+        col_count = 0
+        for cols in combinations(range(m.cols), n):
+            col_count += 1
+            if col_count > budget.max_col_subsets:
+                raise BudgetExceededError(
+                    f"column-subset budget {budget.max_col_subsets} exhausted"
+                )
+            row_dir = _direction(entries, rows, cols)
+            if row_dir is None:
+                continue
+            col_dir = _direction(columns, cols, rows) if kind == MONOTONE else None
+            if kind == ROW_MONOTONE or col_dir is not None:
+                return SubmatrixWitness(rows, cols, kind, row_dir, col_dir)
+    return None
 
 
 def brute_force_row_monotone(m: Matrix, n: int, budget: SearchBudget = SearchBudget()):
@@ -77,64 +92,15 @@ def brute_force_row_monotone(m: Matrix, n: int, budget: SearchBudget = SearchBud
     None means the whole space was enumerated; a truncated search raises
     BudgetExceededError instead.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    if n > m.rows or n > m.cols:
-        return None
-    entries = m.entries
-    row_count = 0
-    for rows in combinations(range(m.rows), n):
-        row_count += 1
-        if row_count > budget.max_row_subsets:
-            raise BudgetExceededError(f"row-subset budget {budget.max_row_subsets} exhausted")
-        col_count = 0
-        for cols in combinations(range(m.cols), n):
-            col_count += 1
-            if col_count > budget.max_col_subsets:
-                raise BudgetExceededError(
-                    f"column-subset budget {budget.max_col_subsets} exhausted"
-                )
-            direction = _rows_direction(entries, rows, cols)
-            if direction is not None:
-                return SubmatrixWitness(
-                    rows=rows, cols=cols, kind=ROW_MONOTONE, row_direction=direction
-                )
-    return None
+    return _first_witness(m, n, budget, ROW_MONOTONE)
 
 
 def brute_force_monotone(m: Matrix, n: int, budget: SearchBudget = SearchBudget()):
-    """First n x n monotone submatrix in lexicographic order, or None."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if n > m.rows or n > m.cols:
-        return None
-    entries = m.entries
-    row_count = 0
-    for rows in combinations(range(m.rows), n):
-        row_count += 1
-        if row_count > budget.max_row_subsets:
-            raise BudgetExceededError(f"row-subset budget {budget.max_row_subsets} exhausted")
-        col_count = 0
-        for cols in combinations(range(m.cols), n):
-            col_count += 1
-            if col_count > budget.max_col_subsets:
-                raise BudgetExceededError(
-                    f"column-subset budget {budget.max_col_subsets} exhausted"
-                )
-            row_dir = _rows_direction(entries, rows, cols)
-            if row_dir is None:
-                continue
-            col_dir = _cols_direction(entries, rows, cols)
-            if col_dir is None:
-                continue
-            return SubmatrixWitness(
-                rows=rows,
-                cols=cols,
-                kind=MONOTONE,
-                row_direction=row_dir,
-                col_direction=col_dir,
-            )
-    return None
+    """First n x n monotone submatrix in lexicographic order, or None.
+
+    Column directions are read on the transpose, down the chosen rows.
+    """
+    return _first_witness(m, n, budget, MONOTONE)
 
 
 def brute_force_monochromatic(

@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -208,6 +209,11 @@ def test_non_positive_sizes_exit_2(argv, inc_matrix, tmp_path, monkeypatch, caps
         ["lemma", "3.2", "--d", "1", "--m", "11"],
         ["lemma", "3.2", "--N", str((1 << 20) + 1)],
         ["lemma", "3.3", "--m", "21"],
+        ["lemma", "3.1", "--d", "200000", "--N", "8"],
+        ["lemma", "3.2", "--d", "3", "--m", "5"],
+        ["lemma", "3.2", "--d", "2", "--N", str(1 << 19 | 1)],
+        ["lemma", "3.3", "--d", "2", "--m", "20"],
+        ["lemma", "2.4", "--d", "1025", "--t", "1024"],
     ],
 )
 def test_lemma_refuses_more_than_2_20_before_allocating(argv, monkeypatch, capsys):
@@ -222,6 +228,34 @@ def test_lemma_refuses_more_than_2_20_before_allocating(argv, monkeypatch, capsy
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "more than 2^20" in captured.err
+
+
+def test_lemma_at_2_20_values_still_runs(capsys):
+    assert run(["lemma", "2.4", "--d", "1024", "--t", "1024", "--n", "1", "--s", "0"]) == 0
+    assert "check: OK" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lemma", "2.3", "--m", "21", "--Z", "0,1"],
+        ["lemma", "2.3", "--m", "100000000", "--Z", "0,1"],
+        ["lemma", "2.3", "--m", "20", "--Z", ",".join(map(str, range(11)))],
+    ],
+)
+def test_lemma_2_3_refuses_large_trees_before_building(argv, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the lemma started building its leaf set")
+
+    monkeypatch.setattr(cli.trees, "levels_leafset", refuse)
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "lemma 2.3 needs" in captured.err
+
+
+def test_lemma_2_3_counts_distinct_depths(capsys):
+    assert run(["lemma", "2.3", "--m", "4", "--Z", ",".join(["1"] * 12 + ["3"])]) == 0
+    assert "leaves: 1 2 5 6" in capsys.readouterr().out
 
 
 def test_verify_structural_on_matrix_file_exit_2(inc_matrix, capsys):
@@ -318,6 +352,21 @@ def test_find_on_lower_bound_matrix_reports_shortfall(tmp_path, capsys):
     assert payload["achieved"] < 3
     assert any("no witness exists" in stage for stage in payload["stages"])
     assert payload["bottleneck"]
+
+
+def test_find_proves_lower_bound_witness_absent_within_large_budget(tmp_path, capsys):
+    # 8 x 64 at n = 4: C(8, 4) * C(64, 4) = 44.7 million subset pairs to brute force
+    prefix = tmp_path / "w"
+    run(["witness", "--d", 8, "--t", 6, "--n", 4, "--s", 2, "--seed", 1,
+         "--output-prefix", prefix, "--materialize"])
+    capsys.readouterr()
+    for kind in ("row", "full"):
+        start = time.perf_counter()
+        code = run(["find", tmp_path / "w.matrix", "--n", 4, "--kind", kind,
+                    "--budget", 10**8])
+        assert time.perf_counter() - start < 5
+        assert code == 3
+        assert "exhaustive_fallback: no witness exists" in capsys.readouterr().out
 
 
 def test_cli_output_round_trip(tmp_path):

@@ -21,6 +21,7 @@ from monomat.extraction import (
     _descend_tree_like,
     _split_positions,
     best_tree_like,
+    chain_search,
     bipartite_split,
     find_monotone,
     find_row_monotone,
@@ -30,10 +31,14 @@ from monomat.extraction import (
     perfect_leafset_extract,
     tree_like_subsequence,
 )
+from monomat import oracle
 from monomat.matrix import (
     DECREASING,
     INCREASING,
+    MONOTONE,
+    ROW_MONOTONE,
     Matrix,
+    SubmatrixWitness,
     is_monotone,
     is_row_monotone,
     sign_diff,
@@ -429,3 +434,78 @@ def test_row_descent_matches_lifted_vector_path():
         tree, reps = _descend_tree_like(m.entries, m.cols, target, strict=False)
         cert = tree_like_subsequence(lifted(m), target)
         assert (tree, tuple(reps)) == (cert.tree, cert.sequence.indices)
+
+
+def test_chain_search_matches_both_oracles():
+    # tied values, d = 1, n = 1, and n past the rows or the columns all occur
+    rng = random.Random(67)
+    outcomes = set()
+    for _ in range(1500):
+        d, cols, n = rng.randrange(1, 8), rng.randrange(1, 15), rng.randrange(1, 6)
+        spread = rng.choice([1, 2, 3, 10, 1000])
+        m = Matrix.from_rows([[rng.randrange(spread) for _ in range(cols)] for _ in range(d)])
+        for kind, brute in (
+            (ROW_MONOTONE, brute_force_row_monotone),
+            (MONOTONE, brute_force_monotone),
+        ):
+            found = chain_search(m, n, kind)
+            assert found == brute(m, n)
+            outcomes.add(found and (found.row_direction, found.col_direction))
+    assert {None, (INCREASING, None), (DECREASING, None)} <= outcomes
+    assert {(a, b) for a in (INCREASING, DECREASING) for b in (INCREASING, DECREASING)} <= outcomes
+
+
+def test_chain_search_hand_cases():
+    constant = Matrix.from_rows([[5, 5, 5], [5, 5, 5], [2, 2, 2]])
+    # a constant row fits both directions, and increasing wins
+    assert chain_search(constant, 2, ROW_MONOTONE) == SubmatrixWitness(
+        (0, 1), (0, 1), ROW_MONOTONE, INCREASING
+    )
+    # every column reads 5, 5, 2 downwards
+    assert chain_search(constant, 3, MONOTONE) == SubmatrixWitness(
+        (0, 1, 2), (0, 1, 2), MONOTONE, INCREASING, DECREASING
+    )
+    falling = Matrix.from_rows([[9, 3, 7, 1]] * 3)
+    assert chain_search(falling, 1, MONOTONE) == SubmatrixWitness(
+        (0,), (0,), MONOTONE, INCREASING, INCREASING
+    )
+    # no increasing triple exists; the first decreasing one is (0, 1, 3)
+    triple = chain_search(falling, 3, ROW_MONOTONE)
+    assert (triple.rows, triple.cols, triple.row_direction) == ((0, 1, 2), (0, 1, 3), DECREASING)
+    # the first decreasing pair (0, 1) comes before the first increasing pair (1, 2)
+    assert chain_search(falling, 2, ROW_MONOTONE).cols == (0, 1)
+    rising = chain_search(Matrix.from_rows([[1, 5, 0]] * 2), 2, ROW_MONOTONE)
+    assert (rising.cols, rising.row_direction) == ((0, 1), INCREASING)
+    assert chain_search(falling, 4, ROW_MONOTONE) is None
+    assert chain_search(Matrix.from_rows([[1], [2]]), 2, MONOTONE) is None
+    with pytest.raises(ValueError):
+        chain_search(falling, 0, ROW_MONOTONE)
+
+
+def test_fallback_does_not_call_the_oracle(monkeypatch):
+    rng = random.Random(71)
+    cases = []
+    for _ in range(150):
+        d, cols = rng.randrange(3, 7), rng.randrange(4, 13)
+        m = Matrix.from_rows([[rng.randrange(4) for _ in range(cols)] for _ in range(d)])
+        cases.append((m, brute_force_row_monotone(m, 3), brute_force_monotone(m, 3)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the fallback called the brute-force oracle")
+
+    monkeypatch.setattr(oracle, "brute_force_row_monotone", refuse)
+    monkeypatch.setattr(oracle, "brute_force_monotone", refuse)
+    settled = set()
+    for m, row_truth, full_truth in cases:
+        for finder, truth in ((find_row_monotone, row_truth), (find_monotone, full_truth)):
+            res = finder(m, 3)
+            assert res.met_target == (truth is not None)
+            fallback = [detail for name, detail in res.stages if name == "exhaustive_fallback"]
+            if fallback:
+                assert res.witness == truth or not res.met_target
+                settled.add((finder.__name__, fallback[0]))
+    assert settled == {
+        (name, outcome)
+        for name in ("find_row_monotone", "find_monotone")
+        for outcome in ("witness found", "no witness exists")
+    }

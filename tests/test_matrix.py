@@ -161,12 +161,22 @@ def test_parse_accepts_comments_and_decimals():
         ("1_0 2\n" + "1 2\n" * 10, 1),
         ("2 2\n1 2\n3 1e99999\n", 3),
         ("1 2\n1 -2.5E-4301\n", 2),
+        ("1 1\n1e4300\n", 2),
+        ("2 2\n1 2\n3 12e4299\n", 3),
+        ("1 2\n1e-4300 1\n", 2),
     ],
 )
 def test_parse_errors_name_lines(text, line):
     with pytest.raises(FormatError) as err:
         parse_matrix(text)
     assert err.value.line == line
+
+
+def test_parse_keeps_values_that_format_writes_back():
+    # 10**4299 has 4,300 digits, int()'s default str limit; one digit more is refused above
+    m = parse_matrix("1 3\n1e4299 -1e-4299 7.5e-4298\n")
+    assert m.entries == ((Fraction(10**4299), Fraction(-1, 10**4299), Fraction(3, 4 * 10**4297)),)
+    assert parse_matrix(format_matrix(m)) == m
 
 
 @given(
