@@ -486,21 +486,37 @@ def _pipeline_result(witness, n: int, achieved: int, guaranteed: bool, stages, b
     )
 
 
-def _row_relations(row):
-    """Per column i, bitmasks of the later columns j with row[j] >= row[i] and row[j] <= row[i]."""
-    later = range(len(row))
-    up = [sum(1 << j for j in later[i + 1 :] if row[j] >= v) for i, v in enumerate(row)]
-    down = [sum(1 << j for j in later[i + 1 :] if row[j] <= v) for i, v in enumerate(row)]
-    return up, down
+def _row_masks(row):
+    """Per column i, the masks of the columns j with row[j] >= row[i] and with row[j] <= row[i]."""
+    order = sorted(range(len(row)), key=row.__getitem__)
+    at_least, at_most = {}, {}
+    acc = 0
+    for j in reversed(order):
+        acc |= 1 << j
+        at_least[row[j]] = acc
+    acc = 0
+    for j in order:
+        acc |= 1 << j
+        at_most[row[j]] = acc
+    return [at_least[v] for v in row], [at_most[v] for v in row]
 
 
-def _chain_starts(rel, allowed: int, n: int):
-    """starts[k]: the columns of `allowed` that begin a rel-chain of k + 1 columns inside it.
-
-    Returns None when no chain inside `allowed` reaches n columns.
-    """
+def _first_chain(rel, allowed: int, n: int):
+    """The lexicographically smallest rel-chain of n columns inside `allowed`, or None."""
+    # The smallest column, then its smallest successor, and so on: when that
+    # reaches n columns, no chain of n columns comes before it.
+    cols, pick = [], allowed
+    while pick and len(cols) < n:
+        cols.append((pick & -pick).bit_length() - 1)
+        pick = rel[cols[-1]] & allowed
+    if len(cols) == n:
+        return tuple(cols)
+    # starts[k]: the columns of `allowed` that begin a chain of k + 1 columns.
     starts = [allowed]
-    while allowed and len(starts) < n:
+    while len(starts) < n:
+        # A chain of n columns keeps n - k of them in starts[k].
+        if allowed.bit_count() < n - len(starts) + 1:
+            return None
         prev, allowed, rest = allowed, 0, allowed
         while rest:
             low = rest & -rest
@@ -508,17 +524,13 @@ def _chain_starts(rel, allowed: int, n: int):
                 allowed |= low
             rest ^= low
         starts.append(allowed)
-    return starts if allowed else None
-
-
-def _first_chain(rel, starts) -> tuple[int, ...]:
-    """The lexicographically smallest chain of len(starts) columns, column by column."""
-    cols = []
-    allowed = -1
+    if not allowed:
+        return None
+    cols, pick = [], -1
     for layer in reversed(starts):
-        pick = allowed & layer
+        pick &= layer
         cols.append((pick & -pick).bit_length() - 1)
-        allowed = rel[cols[-1]]
+        pick = rel[cols[-1]]
     return tuple(cols)
 
 
@@ -532,62 +544,67 @@ def chain_search(m: Matrix, n: int, kind: str):
     columns weakly increasing and weakly decreasing down the chosen rows. A
     column set fits the chosen rows exactly when it is a chain of one
     relation inside one allowed column mask. Adding a row only shrinks the
-    relations and the masks, so a node whose longest chain is shorter than n
-    is pruned. At n rows the lexicographically smallest chain wins, and ties
-    in direction go to increasing.
+    relations and the masks, so a node with no chain of n columns is pruned.
+    At n rows the lexicographically smallest chain wins, and ties in
+    direction go to increasing.
     """
     if n < 1:
         raise ValueError("n must be positive")
     if n > m.rows or n > m.cols:
         return None
-    entries, size = m.entries, m.cols
+    entries, rows, size = m.entries, m.rows, m.cols
     full = (1 << size) - 1
-    relations = {}
 
-    def visit(chosen, up, down, inc, dec):
-        chains = [
-            (rel, starts)
-            for mask in {inc, dec}
-            for rel in (up, down)
-            if (starts := _chain_starts(rel, mask, n))
-        ]
-        if not chains:
-            return None
-        if len(chosen) == n:
-            cols = min(_first_chain(rel, starts) for rel, starts in chains)
-            rising = all(up[a] >> b & 1 for a, b in zip(cols, cols[1:]))
-            col_direction = None
-            if kind == MONOTONE:
-                col_direction = INCREASING if all(inc >> c & 1 for c in cols) else DECREASING
-            return SubmatrixWitness(
-                rows=chosen,
-                cols=cols,
-                kind=kind,
-                row_direction=INCREASING if rising else DECREASING,
-                col_direction=col_direction,
-            )
-        for r in range(chosen[-1] + 1 if chosen else 0, m.rows - n + len(chosen) + 1):
-            if r not in relations:
-                relations[r] = _row_relations(entries[r])
-            r_up, r_down = relations[r]
-            row_inc = row_dec = full
-            if chosen and kind == MONOTONE:
-                row, prev = entries[r], entries[chosen[-1]]
-                row_inc = sum(1 << i for i in range(size) if row[i] >= prev[i])
-                row_dec = sum(1 << i for i in range(size) if row[i] <= prev[i])
-            found = visit(
-                chosen + (r,),
-                [a & b for a, b in zip(up, r_up)],
-                [a & b for a, b in zip(down, r_down)],
-                inc & row_inc,
-                dec & row_dec,
-            )
-            if found is not None:
-                return found
-        return None
+    def extend(node, r):
+        chosen, up, down, inc, dec = node
+        r_up, r_down = _row_masks(entries[r])
+        if chosen and kind == MONOTONE:
+            row, prev = entries[r], entries[chosen[-1]]
+            inc &= sum(1 << i for i in range(size) if row[i] >= prev[i])
+            dec &= sum(1 << i for i in range(size) if row[i] <= prev[i])
+        return (
+            chosen + (r,),
+            [a & b for a, b in zip(up, r_up)],
+            [a & b for a, b in zip(down, r_down)],
+            inc,
+            dec,
+        )
 
     later = [full ^ ((2 << i) - 1) for i in range(size)]
-    return visit((), later, later, full, full)
+    # Each entry is a node and the next row to try below it. A node goes back
+    # on the stack only while it has rows left to try, so the stack holds the
+    # nodes of the current path that still branch.
+    stack = [(((), later, later, full, full), 0)]
+    while stack:
+        node, r = stack.pop()
+        if r < rows - n + len(node[0]):
+            stack.append((node, r + 1))
+        chosen, up, down, inc, dec = node = extend(node, r)
+        chains = (
+            cols
+            for mask in {inc, dec}
+            for rel in (up, down)
+            if (cols := _first_chain(rel, mask, n))
+        )
+        first = next(chains, None)
+        if first is None:
+            continue
+        if len(chosen) < n:
+            stack.append((node, r + 1))
+            continue
+        cols = min([first, *chains])
+        rising = all(up[a] >> b & 1 for a, b in zip(cols, cols[1:]))
+        col_direction = None
+        if kind == MONOTONE:
+            col_direction = INCREASING if all(inc >> c & 1 for c in cols) else DECREASING
+        return SubmatrixWitness(
+            rows=chosen,
+            cols=cols,
+            kind=kind,
+            row_direction=INCREASING if rising else DECREASING,
+            col_direction=col_direction,
+        )
+    return None
 
 
 def _fallback_search(m: Matrix, n: int, kind: str, budget: int, stages: list):

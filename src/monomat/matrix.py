@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 
 from .errors import (
@@ -238,6 +239,12 @@ class PipelineParams:
         return self.c0 * self.n**4 * self.s**2
 
 
+@cache
+def _digit_bound(limit: int) -> int:
+    """10**limit, the least integer that str() refuses under a digit limit of `limit`."""
+    return 10**limit
+
+
 def _parse_value(token: str, lineno: int):
     try:
         return int(token)
@@ -259,7 +266,7 @@ def _parse_value(token: str, lineno: int):
     except (ValueError, ZeroDivisionError):
         raise FormatError(lineno, f"bad value {token!r}") from None
     # format_matrix writes the value back with str(), which refuses more digits than the limit.
-    if limit and max(abs(value.numerator), value.denominator) >= 10**limit:
+    if limit and max(abs(value.numerator), value.denominator) >= _digit_bound(limit):
         raise FormatError(lineno, f"{token!r} has more than {limit} digits")
     return value
 

@@ -369,6 +369,19 @@ def test_find_proves_lower_bound_witness_absent_within_large_budget(tmp_path, ca
         assert "exhaustive_fallback: no witness exists" in capsys.readouterr().out
 
 
+def test_find_settles_a_single_pair_space_at_n_1000(tmp_path, capsys):
+    # d = N = n = 1000: the fallback's space is one subset pair, n rows deep
+    n = 1000
+    rows = ["1 " * n] * (n - 1) + [" ".join(str(i % 2) for i in range(n))]
+    path = tmp_path / "m.txt"
+    path.write_text(f"{n} {n}\n" + "\n".join(rows) + "\n")
+    start = time.perf_counter()
+    code = run(["find", path, "--n", n, "--kind", "row"])
+    assert time.perf_counter() - start < 10
+    assert code == 3
+    assert "exhaustive_fallback: no witness exists" in capsys.readouterr().out
+
+
 def test_cli_output_round_trip(tmp_path):
     text = "2 3\n1 2 3\n6 5 4\n"
     path = tmp_path / "m.txt"

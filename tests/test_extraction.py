@@ -1,6 +1,7 @@
 """Extraction machinery: splits, tree-like subsequences, blocks, 1-D runs, pipelines."""
 
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -480,6 +481,19 @@ def test_chain_search_hand_cases():
     assert chain_search(Matrix.from_rows([[1], [2]]), 2, MONOTONE) is None
     with pytest.raises(ValueError):
         chain_search(falling, 0, ROW_MONOTONE)
+
+
+def test_chain_search_deeper_than_the_recursion_limit():
+    # d = N = n: one subset pair, n rows deep. Constant rows fit every chain;
+    # the alternating last row leaves none of n columns.
+    n = sys.getrecursionlimit() + 50
+    rows = [[1] * n] * (n - 1) + [[i % 2 for i in range(n)]]
+    assert chain_search(Matrix.from_rows(rows), n, ROW_MONOTONE) is None
+    assert chain_search(Matrix.from_rows(rows), n, MONOTONE) is None
+    first = tuple(range(n - 1))
+    assert chain_search(Matrix.from_rows(rows[:-1]), n - 1, MONOTONE) == SubmatrixWitness(
+        first, first, MONOTONE, INCREASING, INCREASING
+    )
 
 
 def test_fallback_does_not_call_the_oracle(monkeypatch):
