@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from pathlib import Path
@@ -76,6 +77,9 @@ def _read_text(path: str) -> str:
         return Path(path).read_text()
     except OSError as exc:
         raise FormatError(0, f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise FormatError(line, f"{path} is not {exc.encoding} text") from None
 
 
 def cmd_find(args) -> int:
@@ -275,10 +279,10 @@ def _random_distinct_vectors(rng: random.Random, d: int, count: int):
     return [tuple(coords[a][i] for a in range(d)) for i in range(count)]
 
 
-def _refuse_beyond_2_20(lemma: str, values: int):
-    """Refuse a lemma input of more than 2^20 values before drawing any of them."""
-    if values > 1 << 20:
-        raise MonomatError(f"lemma {lemma} would build more than 2^20 values")
+def _refuse_beyond_2_20(lemma: str, count: int, what: str = "values"):
+    """Refuse a lemma input of more than 2^20 values (or subsets) before drawing any."""
+    if count > 1 << 20:
+        raise MonomatError(f"lemma {lemma} would build more than 2^20 {what}")
 
 
 def _lemma_split(args, rng) -> dict:
@@ -354,6 +358,10 @@ def _lemma_perfect(args, rng) -> dict:
 def _lemma_block(args, rng) -> dict:
     d, t, n, s = args.d, args.t, args.n, args.s
     _refuse_beyond_2_20("2.4", d * t)
+    # The tally keeps up to C(t, j) column subsets at depth j <= s. Once t > 20
+    # the terms j <= 20 alone pass 2^20, so the sum stops there.
+    subsets = sum(math.comb(t, j) for j in range(1, min(s, t, 20) + 1))
+    _refuse_beyond_2_20("2.4", subsets, "column subsets")
     entries = tuple(
         tuple(extraction.RED if rng.getrandbits(1) else extraction.BLUE for _ in range(t))
         for _ in range(d)
@@ -512,7 +520,7 @@ def main(argv=None) -> int:
     except FormatError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except BudgetExceededError as exc:

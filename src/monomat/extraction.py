@@ -11,7 +11,7 @@ witness they can certify.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .errors import (
@@ -31,7 +31,6 @@ from .matrix import (
     ROW_MONOTONE,
     Matrix,
     PipelineParams,
-    SignVector,
     SubmatrixWitness,
     ceil_log2,
     is_monotone,
@@ -42,8 +41,6 @@ from .matrix import (
 )
 from .trees import (
     LabeledBinaryTree,
-    induced_subtree,
-    is_layered,
     levels_leafset,
     vertex_ancestor,
 )
@@ -396,48 +393,53 @@ def monotone_subsequence_1d(seq, n: int):
     if n < 1:
         raise ValueError("n must be positive")
     values = tuple(seq)
-    if len(values) < n:
-        return None
-    for direction in (INCREASING, DECREASING):
-        indices = _lex_smallest_run(values, n, direction)
-        if indices is not None:
-            return indices, direction
+    for direction, run in zip((INCREASING, DECREASING), _run_lengths(values)):
+        if max(run, default=0) >= n:
+            return _smallest_run(values, run, n, direction), direction
     return None
 
 
-def _lex_smallest_run(values, n, direction):
-    size = len(values)
-    if direction == INCREASING:
-        def follows(i, j):
-            return values[j] >= values[i]
-    else:
-        def follows(i, j):
-            return values[j] < values[i]
-    run = [1] * size
-    for i in range(size - 2, -1, -1):
-        best = 0
-        vi = values[i]
-        for j in range(i + 1, size):
-            if run[j] > best and follows(i, j):
-                best = run[j]
-        run[i] = best + 1
+def _run_lengths(values):
+    """Per position, the longest increasing and the longest decreasing run starting there.
+
+    Patience sorting read right to left (Fredman 1975), O(len log len).
+    Increasing runs may repeat a value; decreasing runs are strict.
+    """
+    inc, dec = [0] * len(values), [0] * len(values)
+    # Among the positions read so far, tops[k] is minus the largest value that
+    # starts an increasing run of k + 1, and lows[k] the smallest value that
+    # starts a decreasing one. Both lists ascend.
+    tops, lows = [], []
+    for i in range(len(values) - 1, -1, -1):
+        v = values[i]
+        k = bisect_right(tops, -v)
+        tops[k : k + 1] = [-v]
+        inc[i] = k + 1
+        k = bisect_left(lows, v)
+        lows[k : k + 1] = [v]
+        dec[i] = k + 1
+    return inc, dec
+
+
+def _smallest_run(values, run, n: int, direction: str):
+    """The lexicographically smallest run of n positions; some run[i] must reach n.
+
+    Each position is the first one after the previous pick that continues
+    the direction and still starts a run long enough to finish.
+    """
+    rising = direction == INCREASING
     out = []
-    prev = None
-    for need in range(n, 0, -1):
-        start = prev + 1 if prev is not None else 0
-        for i in range(start, size):
-            if run[i] >= need and (prev is None or follows(prev, i)):
-                out.append(i)
-                prev = i
+    for i, length in enumerate(run):
+        if length >= n - len(out) and (not out or (values[i] >= values[out[-1]]) == rising):
+            out.append(i)
+            if len(out) == n:
                 break
-        else:
-            return None
     return tuple(out)
 
 
 @dataclass(frozen=True)
 class PipelineResult:
-    """Outcome of a best-effort or guaranteed pipeline run."""
+    """Outcome of a pipeline run; guaranteed mode refuses, so guaranteed is False."""
 
     witness: SubmatrixWitness | None
     target: int
@@ -446,44 +448,6 @@ class PipelineResult:
     guaranteed: bool
     stages: tuple[tuple[str, str], ...]
     bottleneck: str | None
-
-
-def _trivial_result(m: Matrix, n: int, kind: str, directions, guaranteed: bool):
-    k = min(n, m.rows, m.cols)
-    if kind == ROW_MONOTONE:
-        witness = SubmatrixWitness(
-            rows=tuple(range(k)), cols=tuple(range(k)), kind=kind, row_direction=directions
-        )
-        detail = directions
-    else:
-        witness = SubmatrixWitness(
-            rows=tuple(range(k)),
-            cols=tuple(range(k)),
-            kind=kind,
-            row_direction=directions[0],
-            col_direction=directions[1],
-        )
-        detail = f"{directions[0]}/{directions[1]}"
-    stages = [("fast_path", f"whole matrix is {kind} ({detail})")]
-    return _pipeline_result(witness, n, k, guaranteed, stages, "matrix size")
-
-
-def _pipeline_result(witness, n: int, achieved: int, guaranteed: bool, stages, bottleneck):
-    """The result record; a missed target in guaranteed mode is an internal breach."""
-    met = achieved >= n
-    if guaranteed and not met:
-        raise InternalCheckError(
-            "guaranteed preconditions held but the pipeline missed its target"
-        )
-    return PipelineResult(
-        witness=witness,
-        target=n,
-        achieved=achieved,
-        met_target=met,
-        guaranteed=guaranteed and met,
-        stages=tuple(stages),
-        bottleneck=None if met else bottleneck,
-    )
 
 
 def _row_masks(row):
@@ -623,55 +587,64 @@ def _fallback_search(m: Matrix, n: int, kind: str, budget: int, stages: list):
     return found
 
 
-def _check_guaranteed_row(m: Matrix, n: int):
-    params = PipelineParams.derive(max(n, 2))
-    exponent = params.row_monotone_cols_exponent
-    if m.rows < params.d or m.cols.bit_length() <= exponent:
-        raise GuaranteeUnmetError(
-            f"guaranteed mode needs at least {params.d} rows and more than 2^{exponent} "
-            f"columns for n={n}; got {m.rows}x{m.cols}"
-        )
-    return params
+def _find(m: Matrix, n: int, mode: str, fallback_budget: int, kind: str, construct):
+    """Run either pipeline: the steps both kinds share.
 
-
-def _check_guaranteed_full(m: Matrix, n: int):
-    params = PipelineParams.derive(max(n, 2))
-    exponent = params.monotone_cols_exponent
-    if m.rows < 64 * n**4 or m.cols.bit_length() <= exponent:
-        raise GuaranteeUnmetError(
-            f"guaranteed mode needs at least {64 * n ** 4} rows and more than 2^{exponent} "
-            f"columns for n={n}; got {m.rows}x{m.cols}"
-        )
-    return params
-
-
-def find_row_monotone(
-    m: Matrix, n: int, mode: str = "best-effort", fallback_budget: int = 200_000
-) -> PipelineResult:
-    """Search for an n x n row-monotone submatrix.
-
-    Pipeline: build the deepest tree-like subsequence of the columns (the
-    split orders tied entries by column index), thin it to a perfect leaf
-    set, find a single-sign block in the layer labels, and select columns
-    through the depth-set leaf formula.
-    Best-effort mode accepts any matrix and degrades the target; when the
-    target is missed and the n x n search space fits the fallback budget, an
-    exhaustive pass settles existence. Guaranteed mode refuses matrices below
-    the proven thresholds.
+    Checks n and mode, always refuses guaranteed mode, and takes the whole
+    matrix when it already is of the kind. Otherwise construct(m, n,
+    fallback_budget, stages) runs the kind's stages, appends their records
+    and returns (witness, achieved, bottleneck), and a missed target goes to
+    the exhaustive fallback. The bottleneck is reported only for a missed
+    target, as "matrix size" whenever n > d or n > N.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    guaranteed = mode == "guaranteed"
     if mode not in ("best-effort", "guaranteed"):
         raise ValueError(f"unknown mode {mode!r}")
-    if guaranteed:
-        _check_guaranteed_row(m, n)
-
-    whole = is_row_monotone(m)
-    if whole is not None:
-        return _trivial_result(m, n, ROW_MONOTONE, whole, guaranteed)
+    if mode == "guaranteed":
+        # The mode needs 2^(c * n^4 * s^2) columns with c >= 1000, n >= 2 and
+        # s >= 1, so more than 2^16000, and a column count fits in 63 bits.
+        params = PipelineParams.derive(max(n, 2))
+        if kind == ROW_MONOTONE:
+            rows, exponent = params.d, params.row_monotone_cols_exponent
+        else:
+            rows, exponent = 64 * n**4, params.monotone_cols_exponent
+        raise GuaranteeUnmetError(
+            f"guaranteed mode needs at least {rows} rows and more than 2^{exponent} "
+            f"columns for n={n}; got {m.rows}x{m.cols}"
+        )
 
     stages = []
+    bottleneck = None
+    whole = is_row_monotone(m) if kind == ROW_MONOTONE else is_monotone(m)
+    if whole is not None:
+        row_direction, col_direction = (whole, None) if kind == ROW_MONOTONE else whole
+        achieved = min(n, m.rows, m.cols)
+        witness = SubmatrixWitness(
+            tuple(range(achieved)), tuple(range(achieved)), kind, row_direction, col_direction
+        )
+        detail = whole if kind == ROW_MONOTONE else "/".join(whole)
+        stages.append(("fast_path", f"whole matrix is {kind} ({detail})"))
+    else:
+        witness, achieved, bottleneck = construct(m, n, fallback_budget, stages)
+        if achieved < n and (found := _fallback_search(m, n, kind, fallback_budget, stages)):
+            witness, achieved = found, n
+    if n > m.rows or n > m.cols:
+        bottleneck = "matrix size"
+    met = achieved >= n
+    return PipelineResult(
+        witness=witness,
+        target=n,
+        achieved=achieved,
+        met_target=met,
+        guaranteed=False,
+        stages=tuple(stages),
+        bottleneck=None if met else bottleneck,
+    )
+
+
+def _row_stages(m: Matrix, n: int, fallback_budget: int, stages: list):
+    """Tree-like descent, perfect descent and block search of the row kind."""
     tree, reps = _descend_tree_like(m.entries, m.cols, None, strict=False)
     stages.append(("tree_like_subsequence", f"height {tree.height}"))
 
@@ -679,13 +652,18 @@ def find_row_monotone(
     layers = len(levels) - 1
     stages.append(("perfect_leafset_extract", f"height {layers}"))
 
+    s_target = ceil_log2(n)
+    if tree.height < s_target:
+        bottleneck = "tree_like_subsequence"
+    elif layers < s_target:
+        bottleneck = "perfect_leafset_extract"
+    else:
+        bottleneck = "monochromatic_submatrix"
+
     # Layer q of the height-`layers` leaf set carries the label chosen in
     # round (layers - q), so depth 0 holds the newest root label.
     depth_labels = list(reversed(round_labels))
     colored = ColoredMatrix.from_sign_columns(depth_labels, dim=m.rows)
-
-    witness = None
-    achieved = 0
     for k in range(n, 0, -1):
         s_k = ceil_log2(k)
         if k > m.rows or s_k > layers:
@@ -703,27 +681,67 @@ def find_row_monotone(
         )
         if not witness.validate(m):
             raise InternalCheckError("pipeline produced an invalid row-monotone witness")
-        achieved = k
-        stages.append(
-            ("monochromatic_submatrix", f"{k} rows x {s_k} layers, {color}")
-        )
-        break
+        stages.append(("monochromatic_submatrix", f"{k} rows x {s_k} layers, {color}"))
+        return witness, k, bottleneck
+    # k = 1 needs one row and no layer, so the loop always returns.
+    raise InternalCheckError("block search found no 1 x 1 block")
 
-    if achieved < n and (found := _fallback_search(m, n, ROW_MONOTONE, fallback_budget, stages)):
-        witness, achieved = found, n
 
-    bottleneck = None
-    if achieved < n:
-        s_target = ceil_log2(n)
-        if n > m.rows:
-            bottleneck = "matrix size"
-        elif tree.height < s_target:
-            bottleneck = "tree_like_subsequence"
-        elif layers < s_target:
-            bottleneck = "perfect_leafset_extract"
-        else:
-            bottleneck = "monochromatic_submatrix"
-    return _pipeline_result(witness, n, achieved, guaranteed, stages, bottleneck)
+def _full_stages(m: Matrix, n: int, fallback_budget: int, stages: list):
+    """Column runs, the pigeonhole group and the row kind inside it."""
+    columns = list(zip(*m.entries))
+    runs = [_run_lengths(col) for col in columns]
+    longest = max(max(run) for pair in runs for run in pair)
+    run_length = min(max(n, math.isqrt(m.rows - 1) + 1), longest)
+    table: dict[tuple, list[int]] = {}
+    for i, (col, pair) in enumerate(zip(columns, runs)):
+        for direction, run in zip((INCREASING, DECREASING), pair):
+            if max(run) >= run_length:
+                key = (direction, _smallest_run(col, run, run_length, direction))
+                table.setdefault(key, []).append(i)
+                break
+    qualifying = sum(map(len, table.values()))
+    stages.append(("column_runs", f"length {run_length}, {qualifying}/{m.cols} columns"))
+
+    direction, row_set = best_key = max(table, key=lambda key: len(table[key]))
+    group_cols = table[best_key]
+    stages.append(("pigeonhole_group", f"{len(group_cols)} columns, {direction}"))
+
+    inner = find_row_monotone(
+        submatrix(m, row_set, group_cols), n, fallback_budget=fallback_budget
+    )
+    stages.extend((f"row_stage:{name}", detail) for name, detail in inner.stages)
+    if run_length < n or len(group_cols) < n:
+        bottleneck = "pigeonhole_group"
+    else:
+        bottleneck = f"row_stage:{inner.bottleneck}"
+    witness = SubmatrixWitness(
+        rows=tuple(row_set[r] for r in inner.witness.rows),
+        cols=tuple(group_cols[c] for c in inner.witness.cols),
+        kind=MONOTONE,
+        row_direction=inner.witness.row_direction,
+        col_direction=direction,
+    )
+    if not witness.validate(m):
+        raise InternalCheckError("pipeline produced an invalid monotone witness")
+    return witness, inner.achieved, bottleneck
+
+
+def find_row_monotone(
+    m: Matrix, n: int, mode: str = "best-effort", fallback_budget: int = 200_000
+) -> PipelineResult:
+    """Search for an n x n row-monotone submatrix.
+
+    Pipeline: build the deepest tree-like subsequence of the columns (the
+    split orders tied entries by column index), thin it to a perfect leaf
+    set, find a single-sign block in the layer labels, and select columns
+    through the depth-set leaf formula.
+    Best-effort mode accepts any matrix and degrades the target; when the
+    target is missed and the n x n search space fits the fallback budget, an
+    exhaustive pass settles existence. Guaranteed mode always refuses: its
+    thresholds need more than 2^16000 columns.
+    """
+    return _find(m, n, mode, fallback_budget, ROW_MONOTONE, _row_stages)
 
 
 def find_monotone(
@@ -736,76 +754,4 @@ def find_monotone(
     pipeline runs inside the largest group; since all surviving columns are
     monotone over those rows, the combined witness is fully monotone.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    guaranteed = mode == "guaranteed"
-    if mode not in ("best-effort", "guaranteed"):
-        raise ValueError(f"unknown mode {mode!r}")
-    params = _check_guaranteed_full(m, n) if guaranteed else None
-
-    whole = is_monotone(m)
-    if whole is not None:
-        return _trivial_result(m, n, MONOTONE, whole, guaranteed)
-
-    stages = []
-    if guaranteed:
-        run_length = params.ell
-    else:
-        run_length = max(n, math.isqrt(m.rows - 1) + 1)
-    run_length = min(run_length, m.rows)
-
-    table: dict[tuple, list[int]] = {}
-    while True:
-        table.clear()
-        qualifying = 0
-        for i in range(m.cols):
-            found = monotone_subsequence_1d(m.column(i), run_length)
-            if found is None:
-                continue
-            qualifying += 1
-            indices, direction = found
-            table.setdefault((direction, indices), []).append(i)
-        if table or run_length == 1:
-            break
-        run_length -= 1
-    stages.append(("column_runs", f"length {run_length}, {qualifying}/{m.cols} columns"))
-
-    best_key = None
-    for key, cols in table.items():
-        if best_key is None or len(cols) > len(table[best_key]):
-            best_key = key
-    direction, row_set = best_key
-    group_cols = table[best_key]
-    stages.append(("pigeonhole_group", f"{len(group_cols)} columns, {direction}"))
-
-    inner = find_row_monotone(
-        submatrix(m, row_set, group_cols), n, mode="best-effort", fallback_budget=fallback_budget
-    )
-    stages.extend((f"row_stage:{name}", detail) for name, detail in inner.stages)
-
-    witness = None
-    achieved = 0
-    if inner.witness is not None:
-        witness = SubmatrixWitness(
-            rows=tuple(row_set[r] for r in inner.witness.rows),
-            cols=tuple(group_cols[c] for c in inner.witness.cols),
-            kind=MONOTONE,
-            row_direction=inner.witness.row_direction,
-            col_direction=direction,
-        )
-        if not witness.validate(m):
-            raise InternalCheckError("pipeline produced an invalid monotone witness")
-        achieved = inner.achieved
-
-    if achieved < n and (found := _fallback_search(m, n, MONOTONE, fallback_budget, stages)):
-        witness, achieved = found, n
-
-    bottleneck = None
-    if achieved < n:
-        if n > m.rows or n > m.cols:
-            bottleneck = "matrix size"
-        elif run_length < n or len(group_cols) < n:
-            bottleneck = "pigeonhole_group"
-        else:
-            bottleneck = f"row_stage:{inner.bottleneck}" if inner.bottleneck else "row_stage"
-    return _pipeline_result(witness, n, achieved, guaranteed, stages, bottleneck)
+    return _find(m, n, mode, fallback_budget, MONOTONE, _full_stages)

@@ -53,6 +53,21 @@ def test_find_missing_file_exit_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["find", "oracle", "verify"])
+def test_non_utf8_input_exit_2(command, tmp_path, capsys):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"2 2\n1 2\n3 \xe9\n")
+    assert run([command, path, "--n", 1]) == 2
+    err = capsys.readouterr().err
+    assert "line 3" in err and "Traceback" not in err
+
+
+def test_find_output_to_a_directory_exit_2(inc_matrix, tmp_path, capsys):
+    assert run(["find", inc_matrix, "--n", 2, "--output", tmp_path]) == 2
+    err = capsys.readouterr().err
+    assert "input error" in err and "Traceback" not in err
+
+
 def test_find_malformed_input_names_line(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text("2 2\n1 2\n3 oops\n")
@@ -214,6 +229,8 @@ def test_non_positive_sizes_exit_2(argv, inc_matrix, tmp_path, monkeypatch, caps
         ["lemma", "3.2", "--d", "2", "--N", str(1 << 19 | 1)],
         ["lemma", "3.3", "--d", "2", "--m", "20"],
         ["lemma", "2.4", "--d", "1025", "--t", "1024"],
+        ["lemma", "2.4", "--d", "1", "--t", "44", "--n", "1", "--s", "7"],
+        ["lemma", "2.4", "--d", "1", "--t", "44", "--n", "1", "--s", "5"],
     ],
 )
 def test_lemma_refuses_more_than_2_20_before_allocating(argv, monkeypatch, capsys):

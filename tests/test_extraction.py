@@ -307,6 +307,21 @@ def test_find_row_monotone_guaranteed_refuses_small_input():
         find_row_monotone(m, 3, mode="guaranteed")
 
 
+@pytest.mark.parametrize(
+    "finder, n, needs",
+    [
+        (find_row_monotone, 1, "at least 32 rows and more than 2^16000"),
+        (find_row_monotone, 3, "at least 72 rows and more than 2^324000"),
+        (find_monotone, 1, "at least 64 rows and more than 2^32000"),
+        (find_monotone, 3, "at least 5184 rows and more than 2^648000"),
+    ],
+)
+def test_guaranteed_mode_names_its_thresholds(finder, n, needs):
+    with pytest.raises(GuaranteeUnmetError) as exc:
+        finder(Matrix.from_rows([[1, 2], [2, 1]]), n, mode="guaranteed")
+    assert str(exc.value) == f"guaranteed mode needs {needs} columns for n={n}; got 2x2"
+
+
 def test_find_row_monotone_determinism():
     rng = random.Random(41)
     m = Matrix.from_rows([[rng.randrange(100) for _ in range(64)] for _ in range(6)])
@@ -356,6 +371,182 @@ def test_find_monotone_agrees_with_oracle_small():
         res = find_monotone(m, 2)
         exists = brute_force_monotone(m, 2) is not None
         assert res.met_target == exists
+
+
+_TREE = ("tree_like_subsequence", "height 1")
+_LEAVES = ("perfect_leafset_extract", "height 1")
+_BLOCK_RED = ("monochromatic_submatrix", "2 rows x 1 layers, red")
+_NO_WITNESS = ("exhaustive_fallback", "no witness exists")
+
+
+def _row_stage(*stages):
+    return tuple((f"row_stage:{name}", detail) for name, detail in stages)
+
+
+@pytest.mark.parametrize(
+    "finder, rows, n, stages, bottleneck",
+    [
+        (
+            find_row_monotone,
+            [[1, 2, 3], [4, 5, 6]],
+            2,
+            (("fast_path", "whole matrix is row-monotone (increasing)"),),
+            None,
+        ),
+        (
+            find_monotone,
+            [[1, 2, 3], [4, 5, 6]],
+            2,
+            (("fast_path", "whole matrix is monotone (increasing/increasing)"),),
+            None,
+        ),
+        (
+            find_row_monotone,
+            [[1, 2, 3], [4, 5, 6]],
+            3,
+            (("fast_path", "whole matrix is row-monotone (increasing)"),),
+            "matrix size",
+        ),
+        (
+            find_monotone,
+            [[1, 2, 3], [4, 5, 6]],
+            3,
+            (("fast_path", "whole matrix is monotone (increasing/increasing)"),),
+            "matrix size",
+        ),
+        (
+            find_row_monotone,
+            [[7, 4], [4, 9]],
+            3,
+            (_TREE, _LEAVES, ("monochromatic_submatrix", "1 rows x 0 layers, red"), _NO_WITNESS),
+            "matrix size",
+        ),
+        (
+            find_monotone,
+            [[7, 4], [4, 9]],
+            3,
+            (
+                ("column_runs", "length 2, 2/2 columns"),
+                ("pigeonhole_group", "1 columns, decreasing"),
+                *_row_stage(("fast_path", "whole matrix is row-monotone (increasing)")),
+                _NO_WITNESS,
+            ),
+            "matrix size",
+        ),
+        # n > N with n <= d: the row kind reports the matrix size like the full kind.
+        (
+            find_row_monotone,
+            [[0, 1], [2, 0], [2, 0]],
+            3,
+            (_TREE, _LEAVES, ("monochromatic_submatrix", "2 rows x 1 layers, blue"), _NO_WITNESS),
+            "matrix size",
+        ),
+        (
+            find_monotone,
+            [[0, 1], [2, 0], [2, 0]],
+            3,
+            (
+                ("column_runs", "length 3, 1/2 columns"),
+                ("pigeonhole_group", "1 columns, increasing"),
+                *_row_stage(("fast_path", "whole matrix is row-monotone (increasing)")),
+                _NO_WITNESS,
+            ),
+            "matrix size",
+        ),
+        # A column with runs both ways groups under its increasing run.
+        (
+            find_monotone,
+            [[2], [1], [3]],
+            2,
+            (
+                ("column_runs", "length 2, 1/1 columns"),
+                ("pigeonhole_group", "1 columns, increasing"),
+                *_row_stage(("fast_path", "whole matrix is row-monotone (increasing)")),
+                _NO_WITNESS,
+            ),
+            "matrix size",
+        ),
+        (
+            find_row_monotone,
+            [[1, 0, 1], [1, 0, 1], [0, 1, 1]],
+            3,
+            (_TREE, _LEAVES, _BLOCK_RED, _NO_WITNESS),
+            "tree_like_subsequence",
+        ),
+        (
+            find_row_monotone,
+            [[1, 1, 1, 1], [0, 0, 0, 1], [0, 0, 1, 0]],
+            3,
+            (("tree_like_subsequence", "height 2"), _LEAVES, _BLOCK_RED),
+            "perfect_leafset_extract",
+        ),
+        (
+            find_row_monotone,
+            [[7, 4], [4, 9]],
+            2,
+            (_TREE, _LEAVES, ("monochromatic_submatrix", "1 rows x 0 layers, red"), _NO_WITNESS),
+            "monochromatic_submatrix",
+        ),
+        (
+            find_monotone,
+            [[7, 4], [4, 9]],
+            2,
+            (
+                ("column_runs", "length 2, 2/2 columns"),
+                ("pigeonhole_group", "1 columns, decreasing"),
+                *_row_stage(("fast_path", "whole matrix is row-monotone (increasing)")),
+                _NO_WITNESS,
+            ),
+            "pigeonhole_group",
+        ),
+        (
+            find_monotone,
+            [[1, 0, 0], [1, 1, 1], [1, 1, 2]],
+            3,
+            (
+                ("column_runs", "length 3, 3/3 columns"),
+                ("pigeonhole_group", "3 columns, increasing"),
+                *_row_stage(_TREE, _LEAVES, _BLOCK_RED, _NO_WITNESS),
+                _NO_WITNESS,
+            ),
+            "row_stage:tree_like_subsequence",
+        ),
+        (
+            find_monotone,
+            [[0, 0, 0, 0], [0, 0, 1, 0], [0, 2, 2, 2]],
+            3,
+            (
+                ("column_runs", "length 3, 4/4 columns"),
+                ("pigeonhole_group", "4 columns, increasing"),
+                *_row_stage(("tree_like_subsequence", "height 2"), _LEAVES, _BLOCK_RED),
+            ),
+            "row_stage:perfect_leafset_extract",
+        ),
+        (
+            find_monotone,
+            [[8, 7], [0, 6]],
+            2,
+            (
+                ("column_runs", "length 2, 2/2 columns"),
+                ("pigeonhole_group", "2 columns, decreasing"),
+                *_row_stage(
+                    _TREE,
+                    _LEAVES,
+                    ("monochromatic_submatrix", "1 rows x 0 layers, red"),
+                    _NO_WITNESS,
+                ),
+                _NO_WITNESS,
+            ),
+            "row_stage:monochromatic_submatrix",
+        ),
+    ],
+)
+def test_pipeline_stages_and_bottleneck(finder, rows, n, stages, bottleneck):
+    # A budget of one subset pair keeps the fallback from meeting the target.
+    res = finder(Matrix.from_rows(rows), n, fallback_budget=1)
+    assert res.stages == stages
+    assert res.bottleneck == bottleneck
+    assert res.met_target == (bottleneck is None)
 
 
 def test_pipeline_witnesses_always_validate():
