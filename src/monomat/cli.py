@@ -11,6 +11,7 @@ indices.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import random
@@ -449,7 +450,9 @@ def int_list(text: str) -> tuple[int, ...]:
     return tuple(int(z) for z in text.split(",")) if text else ()
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls in the process."""
     parser = argparse.ArgumentParser(
         prog="monomat",
         description="Find monotone submatrices, build lower-bound witnesses, verify both.",
@@ -513,8 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except FormatError as exc:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
+from operator import ge, le
 
 from .errors import BudgetExceededError
 from .extraction import BLUE, RED, ColoredMatrix
@@ -35,54 +37,62 @@ class SearchBudget:
             raise ValueError("budgets must be positive")
 
 
-def _direction(lines, picks, steps):
-    """Weak direction shared by the picked lines along the steps, increasing preferred.
-
-    lines[a][i] is step i of line a; returns None when no direction fits.
-    """
-    increasing = True
-    decreasing = True
-    for a in picks:
-        line = lines[a]
-        prev = line[steps[0]]
-        for i in steps[1:]:
-            cur = line[i]
-            if cur < prev:
-                increasing = False
-            if cur > prev:
-                decreasing = False
-            if not increasing and not decreasing:
-                return None
-            prev = cur
-    return INCREASING if increasing else DECREASING
-
-
 def _first_witness(m: Matrix, n: int, budget: SearchBudget, kind: str):
-    """First n x n witness of the kind, rows outer and columns inner, or None."""
+    """First n x n witness of the kind, rows outer and columns inner, or None.
+
+    Per row subset, column subsets are visited depth first in lexicographic
+    order, and a prefix is extended only while its rows (and, for the full
+    kind, its columns) share a weak direction. A subsequence of a weakly
+    monotone sequence is monotone the same way, so no skipped subset is a
+    witness. Skipped subsets still count against the column budget, so the
+    search raises where a plain loop over all column subsets would.
+    """
     if n < 1:
         raise ValueError("n must be positive")
     if n > m.rows or n > m.cols:
         return None
-    entries = m.entries
-    columns = m.transpose().entries if kind == MONOTONE else None
-    row_count = 0
-    for rows in combinations(range(m.rows), n):
-        row_count += 1
-        if row_count > budget.max_row_subsets:
+    width = m.cols
+    # Counting only matters when the column subsets outnumber the budget.
+    cap = budget.max_col_subsets if comb(width, n) > budget.max_col_subsets else 0
+    for count, rows in enumerate(combinations(range(m.rows), n), 1):
+        if count > budget.max_row_subsets:
             raise BudgetExceededError(f"row-subset budget {budget.max_row_subsets} exhausted")
-        col_count = 0
-        for cols in combinations(range(m.cols), n):
-            col_count += 1
-            if col_count > budget.max_col_subsets:
-                raise BudgetExceededError(
-                    f"column-subset budget {budget.max_col_subsets} exhausted"
-                )
-            row_dir = _direction(entries, rows, cols)
-            if row_dir is None:
+        cols = list(zip(*(m.entries[a] for a in rows)))
+        # Bits of the directions still open: 1 and 2 rows up and down the
+        # picked columns, 4 and 8 columns up and down the picked rows.
+        opens = [15] * width
+        if kind == MONOTONE:
+            opens = [3 | 4 * all(map(le, v, v[1:])) | 8 * all(map(ge, v, v[1:])) for v in cols]
+        picks, states, skipped, j, depth = [], [15], 0, 0, 0
+        while depth < n:
+            if j > width - n + depth:
+                if not depth:
+                    break
+                j = picks.pop() + 1
+                states.pop()
+                depth -= 1
                 continue
-            col_dir = _direction(columns, cols, rows) if kind == MONOTONE else None
-            if kind == ROW_MONOTONE or col_dir is not None:
-                return SubmatrixWitness(rows, cols, kind, row_dir, col_dir)
+            state = states[-1] & opens[j]
+            if depth:
+                prev, cur = cols[picks[-1]], cols[j]
+                if state & 1 and not all(map(le, prev, cur)):
+                    state ^= 1
+                if state & 2 and not all(map(ge, prev, cur)):
+                    state ^= 2
+            if state & 3 and state & 12:
+                picks.append(j)
+                states.append(state)
+                depth += 1
+            elif cap:  # count every subset that extends the pruned prefix
+                skipped += comb(width - j - 1, n - depth - 1)
+                if skipped >= cap:
+                    raise BudgetExceededError(f"column-subset budget {cap} exhausted")
+            j += 1
+        else:
+            state = states[-1]
+            col_dir = (INCREASING if state & 4 else DECREASING) if kind == MONOTONE else None
+            row_dir = INCREASING if state & 1 else DECREASING
+            return SubmatrixWitness(rows, tuple(picks), kind, row_dir, col_dir)
     return None
 
 

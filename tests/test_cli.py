@@ -1,11 +1,15 @@
 """Command-line contract: exit codes, artifacts, round trips, determinism."""
 
+import io
 import json
 import random
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monomat import cli
 from monomat.cli import main, parse_witness_file
@@ -371,19 +375,73 @@ def test_find_on_lower_bound_matrix_reports_shortfall(tmp_path, capsys):
     assert payload["bottleneck"]
 
 
-def test_find_proves_lower_bound_witness_absent_within_large_budget(tmp_path, capsys):
+@pytest.fixture(scope="module")
+def lower_bound_8x64(tmp_path_factory):
+    """An 8 x 64 lower-bound witness at n = 4, as witness, sign and dense matrix files."""
+    prefix = tmp_path_factory.mktemp("lower-bound") / "w"
+    with redirect_stdout(io.StringIO()):
+        assert run(["witness", "--d", 8, "--t", 6, "--n", 4, "--s", 2, "--seed", 1,
+                    "--output-prefix", prefix, "--materialize"]) == 0
+    return prefix
+
+
+def test_find_proves_lower_bound_witness_absent_within_large_budget(lower_bound_8x64, capsys):
     # 8 x 64 at n = 4: C(8, 4) * C(64, 4) = 44.7 million subset pairs to brute force
-    prefix = tmp_path / "w"
-    run(["witness", "--d", 8, "--t", 6, "--n", 4, "--s", 2, "--seed", 1,
-         "--output-prefix", prefix, "--materialize"])
-    capsys.readouterr()
     for kind in ("row", "full"):
         start = time.perf_counter()
-        code = run(["find", tmp_path / "w.matrix", "--n", 4, "--kind", kind,
+        code = run(["find", f"{lower_bound_8x64}.matrix", "--n", 4, "--kind", kind,
                     "--budget", 10**8])
         assert time.perf_counter() - start < 5
         assert code == 3
         assert "exhaustive_fallback: no witness exists" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oracle", "{w}.matrix", "--n", "4", "--kind", "row"],
+        ["oracle", "{w}.matrix", "--n", "4", "--kind", "full"],
+        ["verify", "{w}.witness", "--n", "4"],
+    ],
+)
+def test_oracle_proves_lower_bound_witness_absent_quickly(argv, lower_bound_8x64, capsys):
+    # The plain loop tests every one of the 44.7 million subset pairs.
+    start = time.perf_counter()
+    code = run([a.format(w=lower_bound_8x64) for a in argv])
+    assert time.perf_counter() - start < 5
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "result: absent" in out or "oracle: absent" in out
+
+
+@pytest.mark.parametrize("last_row, result", [("1", "found"), ("alternating", "absent")])
+def test_oracle_at_n_1000(last_row, result, tmp_path, capsys):
+    # One subset pair, 1000 columns deep: the search keeps its own stack.
+    n = 1000
+    last = " ".join(str(i % 2) for i in range(n)) if last_row == "alternating" else "1 " * n
+    path = tmp_path / "m.txt"
+    path.write_text(f"{n} {n}\n" + "\n".join(["1 " * n] * (n - 1) + [last]) + "\n")
+    start = time.perf_counter()
+    code = run(["oracle", path, "--n", n])
+    assert time.perf_counter() - start < 10
+    assert code == 0
+    captured = capsys.readouterr()
+    assert f"result: {result}" in captured.out and "RecursionError" not in captured.err
+
+
+def test_verify_oracle_truncates_within_its_budget(tmp_path, capsys):
+    # 16 x 4096 at n = 8: the column subsets the search skips count against --budget.
+    prefix = tmp_path / "w"
+    assert run(["witness", "--d", 16, "--t", 12, "--n", 8, "--s", 3, "--seed", 1,
+                "--output-prefix", prefix]) == 0
+    capsys.readouterr()
+    start = time.perf_counter()
+    code = run(["verify", f"{prefix}.witness", "--oracle", "--n", 8])
+    assert time.perf_counter() - start < 2
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "search truncated: column-subset budget 1000000 exhausted" in captured.err
 
 
 def test_find_settles_a_single_pair_space_at_n_1000(tmp_path, capsys):
@@ -423,3 +481,89 @@ def test_json_text_parity(inc_matrix, capsys):
     text = capsys.readouterr().out
     for key in as_json:
         assert f"{key}:" in text
+
+
+def test_parser_is_built_once_and_keeps_no_values(tmp_path, capsys):
+    # The exhaustive fallback needs C(3, 3) * C(5, 3) = 10 subset pairs here.
+    path = tmp_path / "m.txt"
+    path.write_text("3 5\n0 2 0 3 3\n3 3 1 0 3\n0 3 3 0 3\n")
+    assert cli.build_parser() is cli.build_parser()
+    assert run(["find", path, "--n", 3, "--budget", 5, "--format", "json"]) == 3
+    assert json.loads(capsys.readouterr().out)["met_target"] is False
+    assert run(["find", path, "--n", 3]) == 0
+    assert "exhaustive_fallback: witness found" in capsys.readouterr().out
+    assert run(["oracle", path, "--n", 3, "--kind", "full", "--budget", 1]) == 3
+    assert "column-subset budget 1 exhausted" in capsys.readouterr().err
+    assert run(["oracle", path, "--n", 3]) == 0
+    out = capsys.readouterr().out
+    assert "kind: row\n" in out and "cols: 1 2 5\n" in out
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """Input files of every kind the CLI reads, plus a malformed and a missing one."""
+    root = tmp_path_factory.mktemp("fuzz")
+    rng = random.Random(4)
+    rows = [" ".join(str(rng.randrange(4)) for _ in range(6)) for _ in range(5)]
+    (root / "m.txt").write_text("5 6\n" + "\n".join(rows) + "\n")
+    (root / "bad.txt").write_text("2 2\n1 x\n")
+    with redirect_stdout(io.StringIO()):
+        assert run(["witness", "--d", 6, "--t", 5, "--n", 3, "--s", 2, "--seed", 1,
+                    "--output-prefix", root / "w"]) == 0
+    names = ("m.txt", "m.txt", "w.witness", "w.signs", "bad.txt", "none.txt")
+    inputs = [root / name for name in names]
+    return root, [str(path) for path in inputs]
+
+
+SMALL = st.integers(1, 8).map(str)
+# Spliced into an argv now and then: unknown flags, stray words, bad values.
+JUNK = ("--bogus", "extra", "--n", "-1", "0", "--format", "xml", "--kind", "both")
+
+
+@st.composite
+def cli_argv(draw, out_dir, inputs):
+    """A random argv over the five subcommands, with small sizes and some junk."""
+    command = draw(st.sampled_from(("find", "witness", "verify", "lemma", "oracle")))
+    argv = [command]
+    options = {"--seed": SMALL, "--format": st.sampled_from(("text", "json"))}
+    if command in ("find", "verify", "oracle"):
+        argv += [draw(st.sampled_from(inputs)), "--n", draw(SMALL)]
+        options.update({"--budget": SMALL, "--kind": st.sampled_from(("row", "full"))})
+    if command == "find":
+        options["--mode"] = st.sampled_from(("best-effort", "guaranteed"))
+        options["--output"] = st.just(str(out_dir / "out.json"))
+    if command == "verify":
+        options.update({"--structural": None, "--oracle": None})
+    if command == "witness":
+        argv += ["--output-prefix", str(out_dir / "out"), "--t", draw(st.integers(1, 6).map(str))]
+        for flag in ("--d", "--n", "--s"):
+            argv += [flag, draw(SMALL)]
+        options.update({"--max-attempts": SMALL, "--budget": SMALL, "--materialize": None})
+    if command == "lemma":
+        argv.append(draw(st.sampled_from(("3.1", "3.2", "3.3", "2.4", "2.3"))))
+        # --m stays at 3 or less: lemma 3.2 draws 2^(m (d + 1)) columns when --N is 0.
+        options.update({flag: SMALL for flag in ("--d", "--N", "--t", "--n", "--s")})
+        options["--m"] = st.integers(0, 3).map(str)
+        options["--Z"] = st.lists(st.integers(0, 8), max_size=4).map(
+            lambda z: ",".join(map(str, z)))
+    for flag in draw(st.lists(st.sampled_from(sorted(options)), max_size=5)):
+        argv.append(flag)
+        if options[flag] is not None:
+            argv.append(draw(options[flag]))
+    if draw(st.integers(0, 4)) == 0:
+        argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(JUNK)))
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_fuzzed_argv_stays_in_exit_code_contract(data, fuzz_inputs):
+    argv = data.draw(cli_argv(*fuzz_inputs), label="argv")
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2, 3, 4, 5, 6), argv
+    assert "Traceback" not in err.getvalue(), argv

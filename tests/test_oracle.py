@@ -15,8 +15,12 @@ from monomat.extraction import (
     single_sign_levels,
 )
 from monomat.matrix import (
+    DECREASING,
     INCREASING,
+    MONOTONE,
+    ROW_MONOTONE,
     Matrix,
+    SubmatrixWitness,
     is_monotone,
     is_row_monotone,
     submatrix,
@@ -47,6 +51,83 @@ def second_opinion_monotone(m, n):
             if is_monotone(submatrix(m, rows, cols)) is not None:
                 hits.append((rows, cols))
     return hits
+
+
+def _direction(lines, picks, steps):
+    """Weak direction shared by the picked lines along the steps, increasing preferred."""
+    increasing = True
+    decreasing = True
+    for a in picks:
+        line = lines[a]
+        prev = line[steps[0]]
+        for i in steps[1:]:
+            cur = line[i]
+            if cur < prev:
+                increasing = False
+            if cur > prev:
+                decreasing = False
+            if not increasing and not decreasing:
+                return None
+            prev = cur
+    return INCREASING if increasing else DECREASING
+
+
+def plain_first_witness(m, n, budget, kind):
+    """Reference: every row subset times every column subset, both lexicographic.
+
+    Each subset counts against its budget before it is tested, so a search
+    raises as soon as it would test subset number budget + 1.
+    """
+    if n > m.rows or n > m.cols:
+        return None
+    entries = m.entries
+    columns = m.transpose().entries if kind == MONOTONE else None
+    row_count = 0
+    for rows in combinations(range(m.rows), n):
+        row_count += 1
+        if row_count > budget.max_row_subsets:
+            raise BudgetExceededError(f"row-subset budget {budget.max_row_subsets} exhausted")
+        col_count = 0
+        for cols in combinations(range(m.cols), n):
+            col_count += 1
+            if col_count > budget.max_col_subsets:
+                raise BudgetExceededError(
+                    f"column-subset budget {budget.max_col_subsets} exhausted"
+                )
+            row_dir = _direction(entries, rows, cols)
+            if row_dir is None:
+                continue
+            col_dir = _direction(columns, cols, rows) if kind == MONOTONE else None
+            if kind == ROW_MONOTONE or col_dir is not None:
+                return SubmatrixWitness(rows, cols, kind, row_dir, col_dir)
+    return None
+
+
+def outcome(search, *args):
+    """A search's witness (or None), or the message of the budget it exhausted."""
+    try:
+        return search(*args)
+    except BudgetExceededError as exc:
+        return f"raised {exc}"
+
+
+def test_pruned_search_matches_plain_loop_with_budgets():
+    rng = random.Random(17)
+    searches = {ROW_MONOTONE: brute_force_row_monotone, MONOTONE: brute_force_monotone}
+    budgets = (1, 4, 20, 300, 10**7)
+    raised = found = 0
+    for _ in range(3000):
+        d, width, n = rng.randint(1, 7), rng.randint(1, 14), rng.randint(1, 5)
+        values = rng.choice((2, 3, 10, 1000))
+        m = Matrix.from_rows([[rng.randrange(values) for _ in range(width)] for _ in range(d)])
+        budget = SearchBudget(rng.choice(budgets), rng.choice(budgets))
+        for kind, search in searches.items():
+            expected = outcome(plain_first_witness, m, n, budget, kind)
+            assert outcome(search, m, n, budget) == expected, (m, n, budget, kind)
+            raised += isinstance(expected, str)
+            found += isinstance(expected, SubmatrixWitness)
+    # All three outcomes occur often, so each path is exercised.
+    assert raised > 500 and found > 500 and 6000 - raised - found > 500
 
 
 def test_brute_force_row_monotone_trivial():
