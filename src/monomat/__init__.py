@@ -26,7 +26,6 @@ from .matrix import (
     DECREASING,
     INCREASING,
     Matrix,
-    PipelineParams,
     SubmatrixWitness,
     format_matrix,
     is_monotone,
@@ -37,7 +36,6 @@ from .matrix import (
 )
 from .oracle import (
     SearchBudget,
-    brute_force_monochromatic,
     brute_force_monotone,
     brute_force_row_monotone,
     es_extremal_sequence,
@@ -74,7 +72,6 @@ __all__ = [
     "LabeledBinaryTree",
     "Matrix",
     "MonomatError",
-    "PipelineParams",
     "PipelineResult",
     "SearchBudget",
     "SignMatrix",
@@ -84,7 +81,6 @@ __all__ = [
     "WitnessMatrix",
     "best_tree_like",
     "bipartite_split",
-    "brute_force_monochromatic",
     "brute_force_monotone",
     "brute_force_row_monotone",
     "build_witness",

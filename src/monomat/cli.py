@@ -86,11 +86,7 @@ def _read_text(path: str) -> str:
 def cmd_find(args) -> int:
     m = parse_matrix(_read_text(args.input))
     finder = extraction.find_row_monotone if args.kind == "row" else extraction.find_monotone
-    try:
-        result = finder(m, args.n, mode=args.mode, fallback_budget=args.budget)
-    except GuaranteeUnmetError as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return EXIT_SHORTFALL
+    result = finder(m, args.n, mode=args.mode, fallback_budget=args.budget)
     payload = _witness_payload(result)
     _emit(payload, args.format)
     if args.output:
@@ -99,16 +95,12 @@ def cmd_find(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    if args.materialize and args.t > 20:
-        print("refusing to materialize beyond t=20", file=sys.stderr)
+    if args.materialize and args.t > witness_mod.MAX_MATERIALIZE_T:
+        print(f"refusing to materialize beyond t={witness_mod.MAX_MATERIALIZE_T}", file=sys.stderr)
         return EXIT_INPUT
-    try:
-        sm = witness_mod.sample_sign_matrix(
-            args.d, args.t, args.n, args.s, seed=args.seed, max_attempts=args.max_attempts
-        )
-    except ExhaustedAttemptsError as exc:
-        print(f"sampling failed: {exc}", file=sys.stderr)
-        return EXIT_SAMPLING
+    sm = witness_mod.sample_sign_matrix(
+        args.d, args.t, args.n, args.s, seed=args.seed, max_attempts=args.max_attempts
+    )
     w = witness_mod.build_witness(sm)
     report = witness_mod.verify_witness(w, args.n, max_col_subsets=args.budget)
 
@@ -171,10 +163,9 @@ def _sniff_kind(text: str) -> str:
         raise FormatError(1, "empty input file")
     if meaningful[0].startswith("witness t="):
         return "witness"
-    # Header lines are numeric either way; bare +/- tokens mark a sign file.
-    for line in meaningful[1:]:
-        if any(tok in ("+", "-") for tok in line.split()):
-            return "signs"
+    # Header lines are numeric either way; one sign row marks a sign file.
+    if any(map(witness_mod.is_sign_row, meaningful[1:])):
+        return "signs"
     return "matrix"
 
 
@@ -185,29 +176,22 @@ def cmd_verify(args) -> int:
     run_oracle = args.oracle or not args.structural
 
     payload: dict = {"input": args.input, "n": args.n, "checks": []}
-    counterexample = None
 
     if kind == "matrix":
         m = parse_matrix(text)
         if args.structural:
             print("the structural check needs a witness or sign file", file=sys.stderr)
             return EXIT_INPUT
-        found = oracle.brute_force_row_monotone(
-            m, args.n, oracle.SearchBudget(args.budget, args.budget)
-        )
-        payload["checks"].append("oracle")
-        payload["oracle"] = "absent" if found is None else "found"
-        if found is not None:
-            counterexample = found
     else:
         w = parse_witness_file(text) if kind == "witness" else witness_mod.build_witness(
             witness_mod.parse_sign_matrix(text)
         )
-        if w.t > 20 and run_oracle:
+        limit = witness_mod.MAX_MATERIALIZE_T
+        if w.t > limit and run_oracle:
             if args.oracle:
-                print("oracle check needs t <= 20 to materialize", file=sys.stderr)
+                print(f"oracle check needs t <= {limit} to materialize", file=sys.stderr)
                 return EXIT_INPUT
-            print("oracle check skipped: it needs t <= 20 to materialize", file=sys.stderr)
+            print(f"oracle check skipped: it needs t <= {limit} to materialize", file=sys.stderr)
             payload["oracle"] = "skipped"
             run_oracle = False
         if run_structural:
@@ -219,35 +203,30 @@ def cmd_verify(args) -> int:
             payload["clique_bound"] = report.clique_bound
             if report.verdict == "FAIL":
                 rows, ranks, direction = witness_mod.structural_counterexample(w, report)
-                counterexample = {
+                payload["counterexample"] = {
                     "rows": [r + 1 for r in rows],
                     "cols": list(ranks[: args.n]),
                     "kind": "row-monotone",
                     "row_direction": direction,
                 }
         if run_oracle:
-            found = oracle.brute_force_row_monotone(
-                w.materialize(), args.n, oracle.SearchBudget(args.budget, args.budget)
-            )
-            payload["checks"].append("oracle")
-            payload["oracle"] = "absent" if found is None else "found"
-            if found is not None and counterexample is None:
-                counterexample = found
+            m = w.materialize()
 
-    if counterexample is not None:
-        if isinstance(counterexample, dict):
-            payload["counterexample"] = counterexample
-        else:
+    if run_oracle:
+        found = oracle.brute_force_row_monotone(
+            m, args.n, oracle.SearchBudget(args.budget, args.budget)
+        )
+        payload["checks"].append("oracle")
+        payload["oracle"] = "absent" if found is None else "found"
+        if found is not None and "counterexample" not in payload:
             payload["counterexample"] = {
-                "rows": [r + 1 for r in counterexample.rows],
-                "cols": [c + 1 for c in counterexample.cols],
-                "kind": counterexample.kind,
-                "row_direction": counterexample.row_direction,
+                "rows": [r + 1 for r in found.rows],
+                "cols": [c + 1 for c in found.cols],
+                "kind": found.kind,
+                "row_direction": found.row_direction,
             }
-        _emit(payload, args.format)
-        return EXIT_COUNTEREXAMPLE
     _emit(payload, args.format)
-    return EXIT_OK
+    return EXIT_COUNTEREXAMPLE if "counterexample" in payload else EXIT_OK
 
 
 def cmd_oracle(args) -> int:
@@ -255,11 +234,7 @@ def cmd_oracle(args) -> int:
     finder = (
         oracle.brute_force_row_monotone if args.kind == "row" else oracle.brute_force_monotone
     )
-    try:
-        found = finder(m, args.n, oracle.SearchBudget(args.budget, args.budget))
-    except BudgetExceededError as exc:
-        print(f"search truncated: {exc}", file=sys.stderr)
-        return EXIT_SHORTFALL
+    found = finder(m, args.n, oracle.SearchBudget(args.budget, args.budget))
     payload: dict = {"input": args.input, "n": args.n, "kind": args.kind}
     if found is None:
         payload["result"] = "absent"
@@ -515,25 +490,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The exit-code contract: (exception type, stderr prefix, exit code); the
+# first row that matches the raised exception wins.
+EXIT_TABLE = (
+    (FormatError, "input error", EXIT_INPUT),
+    (OSError, "input error", EXIT_INPUT),
+    (BudgetExceededError, "search truncated", EXIT_SHORTFALL),
+    (GuaranteeUnmetError, "refused", EXIT_SHORTFALL),
+    (ExhaustedAttemptsError, "sampling failed", EXIT_SAMPLING),
+    (InternalCheckError, "internal guarantee breach", EXIT_INTERNAL),
+    (MonomatError, "error", EXIT_INPUT),
+)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FormatError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except BudgetExceededError as exc:
-        print(f"search truncated: {exc}", file=sys.stderr)
-        return EXIT_SHORTFALL
-    except InternalCheckError as exc:
-        print(f"internal guarantee breach: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except MonomatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    except (MonomatError, OSError) as exc:
+        prefix, code = next((p, c) for kind, p, c in EXIT_TABLE if isinstance(exc, kind))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -12,9 +12,9 @@ class LengthMismatchError(MonomatError):
 class TiedCoordinateError(MonomatError):
     """A strict coordinatewise comparison hit two equal values."""
 
-    def __init__(self, coordinate, message=None):
+    def __init__(self, coordinate):
         self.coordinate = coordinate
-        super().__init__(message or f"tied values at coordinate {coordinate}")
+        super().__init__(f"tied values at coordinate {coordinate}")
 
 
 class IndexOutOfBoundsError(MonomatError):
@@ -48,23 +48,19 @@ class TooShortError(MonomatError):
 class InsufficientLengthError(MonomatError):
     """The tree-like construction ran out of elements before the target height."""
 
-    def __init__(self, achieved, target, message=None):
+    def __init__(self, achieved, target):
         self.achieved = achieved
         self.target = target
-        super().__init__(
-            message or f"construction died at height {achieved}, target {target}"
-        )
+        super().__init__(f"construction died at height {achieved}, target {target}")
 
 
 class InsufficientTreeError(MonomatError):
     """The perfect-leafset induction ran out of subtrees before the target height."""
 
-    def __init__(self, achieved, target, message=None):
+    def __init__(self, achieved, target):
         self.achieved = achieved
         self.target = target
-        super().__init__(
-            message or f"induction died at height {achieved}, target {target}"
-        )
+        super().__init__(f"induction died at height {achieved}, target {target}")
 
 
 class EqualVectorsError(MonomatError):
@@ -78,9 +74,9 @@ class RankOutOfRangeError(MonomatError):
 class ExhaustedAttemptsError(MonomatError):
     """Rejection sampling used up its attempt budget without a valid sample."""
 
-    def __init__(self, attempts, message=None):
+    def __init__(self, attempts):
         self.attempts = attempts
-        super().__init__(message or f"no valid sample after {attempts} attempts")
+        super().__init__(f"no valid sample after {attempts} attempts")
 
 
 class BudgetExceededError(MonomatError):

@@ -30,7 +30,6 @@ from .matrix import (
     MONOTONE,
     ROW_MONOTONE,
     Matrix,
-    PipelineParams,
     SubmatrixWitness,
     ceil_log2,
     is_monotone,
@@ -95,13 +94,7 @@ class TreeLikeCertificate:
 
     def check(self) -> bool:
         """Exhaustively confirm that ancestor labels match pairwise sign patterns."""
-        n = len(self.sequence)
-        for i in range(n):
-            for j in range(i + 1, n):
-                expected = self.tree.leaf_label(i + 1, j + 1)
-                if sign_diff(self.sequence.vectors[i], self.sequence.vectors[j]) != expected:
-                    return False
-        return True
+        return is_binary_tree_like(self.sequence) == self.tree
 
 
 @dataclass(frozen=True)
@@ -602,16 +595,13 @@ def _find(m: Matrix, n: int, mode: str, fallback_budget: int, kind: str, constru
     if mode not in ("best-effort", "guaranteed"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "guaranteed":
-        # The mode needs 2^(c * n^4 * s^2) columns with c >= 1000, n >= 2 and
-        # s >= 1, so more than 2^16000, and a column count fits in 63 bits.
-        params = PipelineParams.derive(max(n, 2))
-        if kind == ROW_MONOTONE:
-            rows, exponent = params.d, params.row_monotone_cols_exponent
-        else:
-            rows, exponent = 64 * n**4, params.monotone_cols_exponent
+        # The mode needs 2^(c * n^4 * s^2) columns, s = ceil(log2 n), with c = 1000
+        # (row) or 2000 (full) and n >= 2, so more than 2^16000: no column count fits.
+        n2 = max(n, 2)
+        c, rows = (1000, 8 * n2 * n2) if kind == ROW_MONOTONE else (2000, 64 * n**4)
         raise GuaranteeUnmetError(
-            f"guaranteed mode needs at least {rows} rows and more than 2^{exponent} "
-            f"columns for n={n}; got {m.rows}x{m.cols}"
+            f"guaranteed mode needs at least {rows} rows and more than "
+            f"2^{c * n2**4 * ceil_log2(n2) ** 2} columns for n={n}; got {m.rows}x{m.cols}"
         )
 
     stages = []

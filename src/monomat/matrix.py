@@ -194,51 +194,6 @@ def ceil_log2(n: int) -> int:
     return (n - 1).bit_length()
 
 
-@dataclass(frozen=True)
-class PipelineParams:
-    """Parameter bundle for the guaranteed extraction pipelines.
-
-    derive() fills in the canonical values for a target size n; arbitrary
-    positive overrides are allowed for best-effort experiments.
-    """
-
-    n: int
-    d: int
-    s: int
-    t: int
-    m: int
-    ell: int
-    c: int = 1000
-    c0: int = 2000
-
-    def __post_init__(self):
-        for name in ("n", "d", "t", "m", "ell", "c", "c0"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
-        if self.s < 0:
-            raise ValueError("s must be non-negative")
-
-    @classmethod
-    def derive(cls, n: int, d: int | None = None) -> "PipelineParams":
-        if n < 2:
-            raise ValueError("derived parameters need n >= 2")
-        s = ceil_log2(n)
-        t = 4 * s * s
-        if d is None:
-            d = 8 * n * n
-        return cls(n=n, d=d, s=s, t=t, m=2 * d * t, ell=8 * n * n)
-
-    @property
-    def row_monotone_cols_exponent(self) -> int:
-        """log2 of the column count that guarantees an n x n row-monotone find."""
-        return self.c * self.n**4 * self.s**2
-
-    @property
-    def monotone_cols_exponent(self) -> int:
-        """log2 of the column count that guarantees an n x n monotone find."""
-        return self.c0 * self.n**4 * self.s**2
-
-
 @cache
 def _digit_bound(limit: int) -> int:
     """10**limit, the least integer that str() refuses under a digit limit of `limit`."""

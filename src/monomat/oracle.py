@@ -14,7 +14,6 @@ from math import comb
 from operator import ge, le
 
 from .errors import BudgetExceededError
-from .extraction import BLUE, RED, ColoredMatrix
 from .matrix import (
     DECREASING,
     INCREASING,
@@ -111,31 +110,6 @@ def brute_force_monotone(m: Matrix, n: int, budget: SearchBudget = SearchBudget(
     Column directions are read on the transpose, down the chosen rows.
     """
     return _first_witness(m, n, budget, MONOTONE)
-
-
-def brute_force_monochromatic(
-    cm: ColoredMatrix, n: int, s: int, budget: SearchBudget = SearchBudget()
-):
-    """First n x s single-color block over column subsets, red before blue.
-
-    For each s-subset of columns (lexicographic), the rows constant in each
-    color are collected; the first subset with n such rows wins.
-    """
-    if n < 1 or s < 0:
-        raise ValueError("need n >= 1 and s >= 0")
-    if n > cm.rows or s > cm.cols:
-        return None
-    entries = cm.entries
-    col_count = 0
-    for cols in combinations(range(cm.cols), s):
-        col_count += 1
-        if col_count > budget.max_col_subsets:
-            raise BudgetExceededError(f"column-subset budget {budget.max_col_subsets} exhausted")
-        for color in (RED, BLUE):
-            rows = [a for a in range(cm.rows) if all(entries[a][j] == color for j in cols)]
-            if len(rows) >= n:
-                return tuple(rows[:n]), cols, color
-    return None
 
 
 def es_extremal_sequence(n: int) -> tuple[int, ...]:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 from typing import ClassVar
 
@@ -33,6 +32,10 @@ from .extraction import lowest_rows, single_sign_levels
 from .matrix import DECREASING, INCREASING, Matrix, ceil_log2, meaningful_lines
 
 BitVector = tuple[int, ...]
+
+# Largest t whose 2^t witness columns are materialized; beyond it only the
+# structural check runs.
+MAX_MATERIALIZE_T = 20
 
 
 def colex_delta(x: BitVector, y: BitVector) -> int:
@@ -123,6 +126,17 @@ def parse_sign_matrix(text: str) -> SignMatrix:
     return SignMatrix.from_rows(rows)
 
 
+def is_sign_row(line: str) -> bool:
+    """Whether a data row is in the sign format rather than numeric.
+
+    parse_sign_matrix reads a row with no space one character per entry, so
+    such a compact row is a sign row when every character is '+' or '-'; a
+    spaced row is one when some token is a bare sign. A numeric row such as
+    '-5' is neither.
+    """
+    return set(line) <= {"+", "-"} or any(tok in ("+", "-") for tok in line.split())
+
+
 def format_sign_matrix(sm: SignMatrix) -> str:
     lines = [f"{sm.rows} {sm.cols}"]
     lines.extend(" ".join("+" if v > 0 else "-" for v in row) for row in sm.entries)
@@ -162,14 +176,16 @@ class WitnessMatrix:
     def column(self, k: int) -> tuple[int, ...]:
         return tuple(self.entry(a, k) for a in range(self.rows))
 
-    def materialize(self, max_t: int = 20) -> Matrix:
-        """Dense form, refused above 2^max_t columns; entry() is the defining formula.
+    def materialize(self) -> Matrix:
+        """Dense form, at most 2^MAX_MATERIALIZE_T columns; entry() is the defining formula.
 
         Rows are built in colex order, O(2^t) per row: columns 2^i + 1..2^(i+1)
         repeat columns 1..2^i shifted by 2^(i+1) * s_i.
         """
-        if self.t > max_t:
-            raise MonomatError(f"refusing to materialize 2^{self.t} columns (limit 2^{max_t})")
+        if self.t > MAX_MATERIALIZE_T:
+            raise MonomatError(
+                f"refusing to materialize 2^{self.t} columns (limit 2^{MAX_MATERIALIZE_T})"
+            )
         rows = []
         for signs in self.signs.entries:
             row = [0]
@@ -207,18 +223,6 @@ def sample_sign_matrix(
         if len(list(single_sign_levels(zip(*candidate.entries), d, n, s))) <= s:
             return candidate
     raise ExhaustedAttemptsError(max_attempts)
-
-
-def row_set_profiles(w: WitnessMatrix, n: int):
-    """Yield (row set, all-plus columns, all-minus columns) over all n-row sets.
-
-    Column indices are 0-based positions in the sign matrix.
-    """
-    entries = w.signs.entries
-    for rows in combinations(range(w.rows), n):
-        plus = tuple(j for j in range(w.t) if all(entries[r][j] > 0 for r in rows))
-        minus = tuple(j for j in range(w.t) if all(entries[r][j] < 0 for r in rows))
-        yield rows, plus, minus
 
 
 @dataclass(frozen=True)
@@ -260,7 +264,7 @@ def verify_witness(w: WitnessMatrix, n: int, max_col_subsets: int = 10**6) -> Wi
     j-subset of columns, extending a subset only while some sign keeps n
     rows. The first failing row set is the least of the first n rows of the
     deepest tallies, so the report equals that of enumerating all C(d, n)
-    row sets (row_set_profiles) at a cost of at most sum_{1<=j<=s} C(t, j)
+    row sets at a cost of at most sum_{1<=j<=s} C(t, j)
     tallies of d rows. Raises BudgetExceededError past max_col_subsets
     tallied column subsets.
     """

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from monomat import cli
 from monomat.cli import main, parse_witness_file
+from monomat.errors import InternalCheckError
 from monomat.matrix import format_matrix, parse_matrix
 from monomat.witness import build_witness, sample_sign_matrix
 
@@ -323,6 +324,73 @@ def test_verify_oracle_only_beyond_t20_exit_2(tmp_path, capsys):
     assert run(["verify", path, "--n", 2, "--oracle"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "t <= 20" in captured.err
+
+
+def test_verify_reads_compact_and_spaced_sign_files_alike(tmp_path, capsys):
+    results = []
+    for name, body in (("compact", "+-+\n-+-\n++-\n"), ("spaced", "+ - +\n- + -\n+ + -\n")):
+        path = tmp_path / f"{name}.signs"
+        path.write_text(f"3 3\n{body}")
+        code = run(["verify", path, "--n", 2, "--format", "json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert payload.pop("input") == str(path)
+        results.append((code, payload))
+    assert results[0] == results[1]
+    assert results[0][0] == 5 and results[0][1]["checks"] == ["structural", "oracle"]
+
+
+def test_verify_one_column_negative_matrix_stays_a_matrix(tmp_path, capsys):
+    path = tmp_path / "neg.txt"
+    path.write_text("2 1\n-5\n3\n")
+    assert run(["verify", path, "--n", 1, "--format", "json"]) == 5
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["checks"] == ["oracle"] and "structural" not in payload
+
+
+def _raise_internal(*args, **kwargs):
+    raise InternalCheckError("planted breach")
+
+
+EXIT_ROWS = {
+    "input error (FormatError)": (["find", "{bad}", "--n", 1], "input error: line 3", 2),
+    "input error (OSError)": (
+        ["witness", "--d", 1, "--t", 1, "--n", 2, "--s", 1, "--output-prefix", "{dir}/no/x"],
+        "input error: [Errno 2]",
+        2,
+    ),
+    "search truncated": (["oracle", "{dec}", "--n", 2, "--budget", 1], "search truncated: ", 3),
+    "refused": (["find", "{inc}", "--n", 2, "--mode", "guaranteed"], "refused: ", 3),
+    "sampling failed": (
+        ["witness", "--d", 2, "--t", 1, "--n", 1, "--s", 1, "--max-attempts", 1,
+         "--output-prefix", "{dir}/x"],
+        "sampling failed: ",
+        4,
+    ),
+    "internal guarantee breach": (["find", "{dec}", "--n", 2], "internal guarantee breach: ", 6),
+    "error": (["lemma", "3.1", "--N", 1], "error: ", 2),
+}
+
+
+def test_exit_rows_cover_the_table():
+    assert {(p.split(":")[0], code) for _, p, code in EXIT_ROWS.values()} == {
+        (prefix, code) for _, prefix, code in cli.EXIT_TABLE
+    }
+    assert len(EXIT_ROWS) == len(cli.EXIT_TABLE)
+
+
+@pytest.mark.parametrize("row", sorted(EXIT_ROWS))
+def test_exit_code_table_row(row, inc_matrix, tmp_path, monkeypatch, capsys):
+    (tmp_path / "bad.txt").write_text("2 2\n1 2\n3 oops\n")
+    (tmp_path / "dec.txt").write_text("2 3\n1 2 3\n3 2 1\n")
+    paths = {"bad": tmp_path / "bad.txt", "dec": tmp_path / "dec.txt", "inc": inc_matrix}
+    if row == "internal guarantee breach":
+        monkeypatch.setattr(cli.extraction, "find_row_monotone", _raise_internal)
+    argv, prefix, code = EXIT_ROWS[row]
+    argv = [str(a).format(dir=tmp_path, **paths) for a in argv]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(prefix) and captured.err.count("\n") == 1
 
 
 def test_oracle_rejects_underscore_in_value(tmp_path, capsys):

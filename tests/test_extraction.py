@@ -19,6 +19,7 @@ from monomat.extraction import (
     RED,
     ColoredMatrix,
     IndexedSequence,
+    TreeLikeCertificate,
     _descend_tree_like,
     _split_positions,
     best_tree_like,
@@ -133,6 +134,11 @@ def test_tree_like_at_the_guaranteed_bound():
         recovered = is_binary_tree_like(cert.sequence)
         assert recovered is not None
         assert recovered.labels == cert.tree.labels
+        # One flipped label breaks the certificate.
+        flipped = dict(cert.tree.labels)
+        flipped[(0, 1)] = tuple(-x for x in flipped[(0, 1)])
+        wrong = LabeledBinaryTree(height=3, dim=1, labels=flipped)
+        assert not TreeLikeCertificate(cert.sequence, wrong).check()
 
 
 def test_tree_like_insufficient_length():

@@ -15,7 +15,6 @@ from monomat.matrix import (
     DECREASING,
     INCREASING,
     Matrix,
-    PipelineParams,
     SubmatrixWitness,
     ceil_log2,
     format_matrix,
@@ -194,13 +193,3 @@ def test_round_trip_property(rows):
 
 def test_ceil_log2():
     assert [ceil_log2(n) for n in (1, 2, 3, 4, 5, 8, 9)] == [0, 1, 2, 2, 3, 3, 4]
-
-
-def test_pipeline_params_derive():
-    p = PipelineParams.derive(4)
-    assert (p.s, p.t, p.d, p.ell) == (2, 16, 128, 128)
-    assert p.m == 2 * p.d * p.t
-    assert p.row_monotone_cols_exponent == 1000 * 4**4 * 4
-    assert p.monotone_cols_exponent == 2 * p.row_monotone_cols_exponent
-    with pytest.raises(ValueError):
-        PipelineParams(n=0, d=1, s=0, t=1, m=1, ell=1)

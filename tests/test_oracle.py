@@ -27,11 +27,11 @@ from monomat.matrix import (
 )
 from monomat.oracle import (
     SearchBudget,
-    brute_force_monochromatic,
     brute_force_monotone,
     brute_force_row_monotone,
     es_extremal_sequence,
 )
+from reference import brute_force_monochromatic
 
 
 def second_opinion_row_monotone(m, n):
