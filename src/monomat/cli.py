@@ -88,9 +88,9 @@ def cmd_find(args) -> int:
     finder = extraction.find_row_monotone if args.kind == "row" else extraction.find_monotone
     result = finder(m, args.n, mode=args.mode, fallback_budget=args.budget)
     payload = _witness_payload(result)
-    _emit(payload, args.format)
-    if args.output:
+    if args.output:  # written first, so a failed write prints no payload
         Path(args.output).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _emit(payload, args.format)
     return EXIT_OK if result.met_target else EXIT_SHORTFALL
 
 

@@ -140,6 +140,37 @@ def _below(col, positions, cut, last):
     return low, high
 
 
+_SELECT_MIN = 4096  # smaller groups are cut by a full sort
+_SAMPLE_STEP = 32
+
+
+def _rank_cut(values, k: int):
+    """(cut, below): the value of 0-based rank k in values and how many values lie below it.
+
+    Large groups are cut by sampled selection (Floyd and Rivest, 1975): sort
+    every 32nd value, bracket rank k between two sample values a few standard
+    deviations either side of it, count the values below the bracket and sort
+    only the values inside it. A full sort answers small groups and brackets
+    that miss rank k; both give the same answer.
+    """
+    if len(values) >= _SELECT_MIN:
+        sample = sorted(values[::_SAMPLE_STEP])
+        j = k // _SAMPLE_STEP
+        reach = 2 * math.isqrt(len(sample)) + 8
+        lo = sample[max(j - reach, 0)]
+        hi = sample[min(j + reach, len(sample) - 1)]
+        upto = [v for v in values if v <= hi]
+        band = [v for v in upto if v >= lo]
+        below = len(upto) - len(band)
+        if below <= k < len(upto):
+            band.sort()
+            cut = band[k - below]
+            return cut, below + bisect_left(band, cut)
+    values = sorted(values)
+    cut = values[k]
+    return cut, bisect_left(values, cut)
+
+
 def _split_positions(coords, positions, strict: bool):
     """One splitting round: two equal-size sub-groups with a uniform sign pattern.
 
@@ -162,14 +193,18 @@ def _split_positions(coords, positions, strict: bool):
     signs = []
     for a, col in enumerate(coords):
         group = first + second
-        values = sorted([col[p] for p in group])
-        if strict and any(x == y for x, y in zip(values, values[1:])):
-            raise TiedCoordinateError(a)
+        values = [col[p] for p in group]
         k = len(first)
-        cut = values[k]
+        if strict:
+            values.sort()
+            if any(x == y for x, y in zip(values, values[1:])):
+                raise TiedCoordinateError(a)
+            cut, below = values[k], k
+        else:
+            cut, below = _rank_cut(values, k)
         last = -1  # the latest position valued at the cut that still goes low
-        if values[k - 1] == cut:
-            last = [p for p in group if col[p] == cut][k - bisect_left(values, cut) - 1]
+        if below < k:
+            last = [p for p in group if col[p] == cut][k - below - 1]
         first_low, first_high = _below(col, first, cut, last)
         second_low, second_high = _below(col, second, cut, last)
         if len(first_low) >= len(first_high):

@@ -6,6 +6,7 @@ are 0-based throughout the Python API.
 
 from __future__ import annotations
 
+import json
 import sys
 from dataclasses import dataclass
 from functools import cache
@@ -226,6 +227,9 @@ def _parse_value(token: str, lineno: int):
     return value
 
 
+_INT_ROW_BYTES = b"0123456789 -"  # the only bytes of a row the JSON scanner reads
+
+
 def meaningful_lines(text: str):
     """(line number, stripped content) of each non-blank line that is not a '#' comment."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -256,6 +260,19 @@ def parse_matrix(text: str) -> Matrix:
         raise FormatError(lineno, f"expected {d} data rows, found {len(lines) - 1}")
     rows = []
     for lineno, content in lines[1:]:
+        # A row of integers separated by single spaces is a JSON array once the
+        # spaces become commas, and the stdlib scanner reads it about twice as
+        # fast as int() per token. Whatever it refuses ('05', '1-2', runs of
+        # spaces, over-limit digit counts) or reads to the wrong length takes the
+        # per-token path below, which reads the same values and words every error.
+        if content.isascii() and not content.encode().translate(None, _INT_ROW_BYTES):
+            try:
+                values = json.loads("[" + content.replace(" ", ",") + "]")
+            except ValueError:
+                values = ()
+            if len(values) == n_cols:
+                rows.append(tuple(values))
+                continue
         tokens = content.split()
         if len(tokens) != n_cols:
             raise FormatError(lineno, f"expected {n_cols} values, found {len(tokens)}")

@@ -111,7 +111,9 @@ def parse_sign_matrix(text: str) -> SignMatrix:
         raise FormatError(lineno, f"expected {d} data rows, found {len(lines) - 1}")
     rows = []
     for lineno, content in lines[1:]:
-        tokens = content.split() if " " in content else list(content)
+        tokens = content.split()
+        if len(tokens) == 1:  # a compact row: one entry per character
+            tokens = list(content)
         if len(tokens) != t:
             raise FormatError(lineno, f"expected {t} entries, found {len(tokens)}")
         row = []
@@ -129,10 +131,10 @@ def parse_sign_matrix(text: str) -> SignMatrix:
 def is_sign_row(line: str) -> bool:
     """Whether a data row is in the sign format rather than numeric.
 
-    parse_sign_matrix reads a row with no space one character per entry, so
-    such a compact row is a sign row when every character is '+' or '-'; a
-    spaced row is one when some token is a bare sign. A numeric row such as
-    '-5' is neither.
+    parse_sign_matrix reads a row with no whitespace one character per entry,
+    so such a compact row is a sign row when every character is '+' or '-'; a
+    row of whitespace-separated tokens is one when some token is a bare sign.
+    A numeric row such as '-5' is neither.
     """
     return set(line) <= {"+", "-"} or any(tok in ("+", "-") for tok in line.split())
 

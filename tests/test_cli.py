@@ -69,8 +69,9 @@ def test_non_utf8_input_exit_2(command, tmp_path, capsys):
 
 def test_find_output_to_a_directory_exit_2(inc_matrix, tmp_path, capsys):
     assert run(["find", inc_matrix, "--n", 2, "--output", tmp_path]) == 2
-    err = capsys.readouterr().err
-    assert "input error" in err and "Traceback" not in err
+    captured = capsys.readouterr()
+    assert "input error" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""  # the failed write comes before any payload
 
 
 def test_find_malformed_input_names_line(tmp_path, capsys):
@@ -328,14 +329,18 @@ def test_verify_oracle_only_beyond_t20_exit_2(tmp_path, capsys):
 
 def test_verify_reads_compact_and_spaced_sign_files_alike(tmp_path, capsys):
     results = []
-    for name, body in (("compact", "+-+\n-+-\n++-\n"), ("spaced", "+ - +\n- + -\n+ + -\n")):
+    for name, body in (
+        ("compact", "+-+\n-+-\n++-\n"),
+        ("spaced", "+ - +\n- + -\n+ + -\n"),
+        ("tabbed", "+\t-\t+\n-\t+\t-\n+ +\t-\n"),
+    ):
         path = tmp_path / f"{name}.signs"
         path.write_text(f"3 3\n{body}")
         code = run(["verify", path, "--n", 2, "--format", "json"])
         payload = json.loads(capsys.readouterr().out)
         assert payload.pop("input") == str(path)
         results.append((code, payload))
-    assert results[0] == results[1]
+    assert results[0] == results[1] == results[2]
     assert results[0][0] == 5 and results[0][1]["checks"] == ["structural", "oracle"]
 
 

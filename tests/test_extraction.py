@@ -14,6 +14,7 @@ from monomat.errors import (
     TiedCoordinateError,
     TooShortError,
 )
+from monomat import extraction
 from monomat.extraction import (
     BLUE,
     RED,
@@ -720,3 +721,63 @@ def test_fallback_does_not_call_the_oracle(monkeypatch):
         for name in ("find_row_monotone", "find_monotone")
         for outcome in ("witness found", "no witness exists")
     }
+
+
+def test_wide_split_matches_lifted_vector_path_by_selection_and_by_sort(monkeypatch):
+    # Groups of 4096 and more are cut by sampled selection, which falls back to
+    # a full sort when its bracket misses the median. Heavy ties put the cut
+    # inside long runs of equal values; a row whose every 32nd value is its
+    # minimum fools the sample, so the bracket misses.
+    rng = random.Random(97)
+    sorted_lengths = []
+
+    def recording_sorted(values, **kwargs):
+        sorted_lengths.append(len(values))
+        return sorted(values, **kwargs)
+
+    ways = {"selection": 0, "full sort": 0}
+    for case in range(24):
+        cols = rng.choice([4096, 4097, 6000, 8192])
+        spread = rng.choice([2, 3, 7, 50, 10**6])
+        rows = [[rng.randrange(spread) for _ in range(cols)] for _ in range(rng.randrange(1, 4))]
+        if case % 3 == 0:
+            rows = [[-1 if p % 32 == 0 else v for p, v in enumerate(row)] for row in rows]
+        m = Matrix.from_rows(rows)
+        sorted_lengths.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(extraction, "sorted", recording_sorted, raising=False)
+            got = _split_positions(m.entries, list(range(cols)), strict=False)
+        sign, first, second = bipartite_split(lifted(m))
+        assert got == (sign, list(first.indices), list(second.indices))
+        ways["full sort" if cols in sorted_lengths else "selection"] += 1
+    assert all(ways.values()), ways
+
+
+def test_pipelines_without_fallback_agree_with_the_oracle():
+    # With fallback_budget=0 a met target comes from the pipeline's own stages:
+    # it must validate, and the oracle must find a witness too. With the default
+    # budget every small case settles, so a proven absence is the oracle's; a
+    # whole-matrix fast path smaller than n proves it by the matrix's size.
+    rng = random.Random(101)
+    met = {find_row_monotone: 0, find_monotone: 0}
+    for _ in range(150):
+        d, cols = rng.randrange(1, 7), rng.randrange(1, 13)
+        m = Matrix.from_rows([[rng.randrange(6) for _ in range(cols)] for _ in range(d)])
+        n = rng.randrange(1, 5)
+        for finder, brute in (
+            (find_row_monotone, brute_force_row_monotone),
+            (find_monotone, brute_force_monotone),
+        ):
+            truth = brute(m, n)
+            res = finder(m, n, fallback_budget=0)
+            if res.met_target:
+                assert res.witness.validate(m) and truth is not None
+                met[finder] += 1
+            res = finder(m, n)
+            assert res.met_target == (truth is not None)
+            absent = (
+                ("exhaustive_fallback", "no witness exists") in res.stages
+                or res.bottleneck == "matrix size"
+            )
+            assert absent == (truth is None)
+    assert all(met.values()), met

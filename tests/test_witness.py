@@ -230,6 +230,7 @@ def test_sign_matrix_round_trip():
     assert parse_sign_matrix(text) == sm
     assert parse_sign_matrix("1 2\n+1 -1\n") == SignMatrix.from_rows([[1, -1]])
     assert parse_sign_matrix("1 2\n+-\n") == SignMatrix.from_rows([[1, -1]])
+    assert parse_sign_matrix("1 2\n+\t-1\n") == SignMatrix.from_rows([[1, -1]])
     with pytest.raises(FormatError):
         parse_sign_matrix("1 2\n+ x\n")
     with pytest.raises(FormatError):
@@ -239,6 +240,7 @@ def test_sign_matrix_round_trip():
 def test_is_sign_row():
     assert is_sign_row("+-+") and is_sign_row("+ - +") and is_sign_row("-")
     assert is_sign_row("+ -1")  # one bare sign marks the row
+    assert is_sign_row("+\t-") and not is_sign_row("-1\t+1")
     assert not is_sign_row("-5") and not is_sign_row("-1 +1") and not is_sign_row("+1")
 
 
