@@ -27,7 +27,7 @@ from .errors import (
     InternalCheckError,
     MonomatError,
 )
-from .matrix import format_matrix, meaningful_lines, parse_matrix, sign_diff, sign_str
+from .matrix import format_matrix, parse_matrix, sign_str
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -35,8 +35,6 @@ EXIT_SHORTFALL = 3
 EXIT_SAMPLING = 4
 EXIT_COUNTEREXAMPLE = 5
 EXIT_INTERNAL = 6
-
-GENERATOR = "mt19937"
 
 
 def _emit(payload: dict, fmt: str, out=None):
@@ -96,8 +94,7 @@ def cmd_find(args) -> int:
 
 def cmd_witness(args) -> int:
     if args.materialize and args.t > witness_mod.MAX_MATERIALIZE_T:
-        print(f"refusing to materialize beyond t={witness_mod.MAX_MATERIALIZE_T}", file=sys.stderr)
-        return EXIT_INPUT
+        raise MonomatError(f"refusing to materialize beyond t={witness_mod.MAX_MATERIALIZE_T}")
     sm = witness_mod.sample_sign_matrix(
         args.d, args.t, args.n, args.s, seed=args.seed, max_attempts=args.max_attempts
     )
@@ -106,8 +103,8 @@ def cmd_witness(args) -> int:
 
     sign_path = Path(f"{args.output_prefix}.signs")
     witness_path = Path(f"{args.output_prefix}.witness")
-    sign_path.write_text(format_sign_file(sm, args.seed))
-    witness_path.write_text(format_witness_file(w, args.seed))
+    sign_path.write_text(witness_mod.format_sign_file(sm, args.seed))
+    witness_path.write_text(witness_mod.format_witness_file(w, args.seed))
     written = [str(sign_path), str(witness_path)]
     if args.materialize:
         matrix_path = Path(f"{args.output_prefix}.matrix")
@@ -120,7 +117,7 @@ def cmd_witness(args) -> int:
         "n": args.n,
         "s": args.s,
         "seed": args.seed,
-        "generator": GENERATOR,
+        "generator": witness_mod.GENERATOR,
         "columns": w.cols,
         "verdict": report.verdict,
         "check_mode": report.mode,
@@ -131,66 +128,23 @@ def cmd_witness(args) -> int:
     return EXIT_OK
 
 
-def format_sign_file(sm: witness_mod.SignMatrix, seed: int) -> str:
-    return f"# generator {GENERATOR} seed={seed}\n" + witness_mod.format_sign_matrix(sm)
-
-
-def format_witness_file(w: witness_mod.WitnessMatrix, seed: int) -> str:
-    return (
-        f"witness t={w.t}\n"
-        f"# generator {GENERATOR} seed={seed}\n" + witness_mod.format_sign_matrix(w.signs)
-    )
-
-
-def parse_witness_file(text: str) -> witness_mod.WitnessMatrix:
-    lineno, header = next(meaningful_lines(text), (1, ""))
-    if not header.startswith("witness t="):
-        raise FormatError(lineno, "expected header 'witness t=<t>'")
-    try:
-        t = int(header.split("=", 1)[1])
-    except ValueError:
-        raise FormatError(lineno, "bad t in witness header") from None
-    sm = witness_mod.parse_sign_matrix("\n".join(text.splitlines()[lineno:]))
-    if sm.cols != t:
-        raise FormatError(lineno, f"header says t={t} but sign matrix has {sm.cols} columns")
-    return witness_mod.build_witness(sm)
-
-
-def _sniff_kind(text: str) -> str:
-    """Classify an input file as witness, sign-matrix, or numeric matrix."""
-    meaningful = [line for _, line in meaningful_lines(text)]
-    if not meaningful:
-        raise FormatError(1, "empty input file")
-    if meaningful[0].startswith("witness t="):
-        return "witness"
-    # Header lines are numeric either way; one sign row marks a sign file.
-    if any(map(witness_mod.is_sign_row, meaningful[1:])):
-        return "signs"
-    return "matrix"
-
-
 def cmd_verify(args) -> int:
     text = _read_text(args.input)
-    kind = _sniff_kind(text)
+    w = witness_mod.parse_witness_or_signs(text)
     run_structural = args.structural or not args.oracle
     run_oracle = args.oracle or not args.structural
 
     payload: dict = {"input": args.input, "n": args.n, "checks": []}
 
-    if kind == "matrix":
+    if w is None:
         m = parse_matrix(text)
         if args.structural:
-            print("the structural check needs a witness or sign file", file=sys.stderr)
-            return EXIT_INPUT
+            raise MonomatError("the structural check needs a witness or sign file")
     else:
-        w = parse_witness_file(text) if kind == "witness" else witness_mod.build_witness(
-            witness_mod.parse_sign_matrix(text)
-        )
         limit = witness_mod.MAX_MATERIALIZE_T
         if w.t > limit and run_oracle:
             if args.oracle:
-                print(f"oracle check needs t <= {limit} to materialize", file=sys.stderr)
-                return EXIT_INPUT
+                raise MonomatError(f"oracle check needs t <= {limit} to materialize")
             print(f"oracle check skipped: it needs t <= {limit} to materialize", file=sys.stderr)
             payload["oracle"] = "skipped"
             run_oracle = False
@@ -270,13 +224,13 @@ def _lemma_split(args, rng) -> dict:
     seq = extraction.IndexedSequence.from_vectors(vectors)
     sign, first, second = extraction.bipartite_split(seq)
     bound = -(-n_cols // (1 << (d + 1)))
-    ok = len(first) == len(second) and len(first) >= bound
-    for i in range(len(first)):
-        for j in range(len(second)):
-            if first.indices[i] >= second.indices[j]:
-                ok = False
-            if sign_diff(first.vectors[i], second.vectors[j]) != sign:
-                ok = False
+    ok = len(first) == len(second) >= bound and first.indices[-1] < second.indices[0]
+    # Tie-free values: sign_diff(a, b) == sign on all of A x B exactly when each
+    # coordinate separates the halves in its sign's direction.
+    ok = ok and all(
+        max(a) < min(b) if direction > 0 else min(a) > max(b)
+        for direction, a, b in zip(sign, zip(*first.vectors), zip(*second.vectors))
+    )
     regime = n_cols % (1 << (d + 1)) == 0
     return {
         "lemma": "bipartite split",
@@ -399,7 +353,7 @@ def cmd_lemma(args) -> int:
     runner = _LEMMAS[args.id]
     payload = runner(args, rng)
     payload["seed"] = args.seed
-    payload["generator"] = GENERATOR
+    payload["generator"] = witness_mod.GENERATOR
     _emit(payload, args.format)
     if payload["check"] != "OK":
         return EXIT_INTERNAL if payload.get("regime") else EXIT_SHORTFALL

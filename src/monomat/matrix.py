@@ -86,11 +86,6 @@ class Matrix:
             raise IndexOutOfBoundsError(f"entry ({a}, {i}) outside {self.rows}x{self.cols}")
         return self.entries[a][i]
 
-    def row(self, a: int) -> tuple:
-        if not 0 <= a < self.rows:
-            raise IndexOutOfBoundsError(f"row {a} outside {self.rows}x{self.cols}")
-        return self.entries[a]
-
     def column(self, i: int) -> tuple:
         if not 0 <= i < self.cols:
             raise IndexOutOfBoundsError(f"column {i} outside {self.rows}x{self.cols}")

@@ -1,4 +1,4 @@
-"""Lower-bound witness matrices: colex machinery, sampled sign matrices, and checks.
+"""Lower-bound witness matrices: colex machinery, sampled sign matrices, checks, file formats.
 
 A witness matrix is defined implicitly by a d x t sign matrix: column k of the
 witness is u_k = sum_i 2^i * y_k(i) * s_i, where y_k is the k-th bit vector of
@@ -36,6 +36,10 @@ BitVector = tuple[int, ...]
 # Largest t whose 2^t witness columns are materialized; beyond it only the
 # structural check runs.
 MAX_MATERIALIZE_T = 20
+
+GENERATOR = "mt19937"  # random.Random's generator, named in every generated file
+WITNESS_HEADER = "witness t="
+_SIGN_ENTRIES = {"+": 1, "+1": 1, "-": -1, "-1": -1}
 
 
 def colex_delta(x: BitVector, y: BitVector) -> int:
@@ -96,9 +100,12 @@ class SignMatrix:
 
 def parse_sign_matrix(text: str) -> SignMatrix:
     """Parse the sign-matrix format: 'd t' then d rows of +/- entries."""
-    lines = list(meaningful_lines(text))
+    return _parse_sign_lines(list(meaningful_lines(text)))
+
+
+def _parse_sign_lines(lines, empty_lineno: int = 1) -> SignMatrix:
     if not lines:
-        raise FormatError(1, "empty sign-matrix file")
+        raise FormatError(empty_lineno, "empty sign-matrix file")
     lineno, header = lines[0]
     parts = header.split()
     try:
@@ -107,6 +114,8 @@ def parse_sign_matrix(text: str) -> SignMatrix:
         raise FormatError(lineno, "header must be 'd t'") from None
     if len(parts) != 2 or d < 1 or t < 0:
         raise FormatError(lineno, "header must be 'd t' with d >= 1, t >= 0")
+    if "_" in header:  # int() read '1_0' as 10
+        raise FormatError(lineno, "header must be 'd t'")
     if len(lines) - 1 != d:
         raise FormatError(lineno, f"expected {d} data rows, found {len(lines) - 1}")
     rows = []
@@ -116,16 +125,12 @@ def parse_sign_matrix(text: str) -> SignMatrix:
             tokens = list(content)
         if len(tokens) != t:
             raise FormatError(lineno, f"expected {t} entries, found {len(tokens)}")
-        row = []
         for tok in tokens:
-            if tok in ("+", "+1"):
-                row.append(1)
-            elif tok in ("-", "-1"):
-                row.append(-1)
-            else:
+            if tok not in _SIGN_ENTRIES:
                 raise FormatError(lineno, f"bad sign entry {tok!r}")
-        rows.append(tuple(row))
-    return SignMatrix.from_rows(rows)
+        rows.append(tuple(_SIGN_ENTRIES[tok] for tok in tokens))
+    # d >= 1 rows of t entries, each -1 or +1: no from_rows checks.
+    return SignMatrix(tuple(rows))
 
 
 def is_sign_row(line: str) -> bool:
@@ -143,6 +148,47 @@ def format_sign_matrix(sm: SignMatrix) -> str:
     lines = [f"{sm.rows} {sm.cols}"]
     lines.extend(" ".join("+" if v > 0 else "-" for v in row) for row in sm.entries)
     return "\n".join(lines) + "\n"
+
+
+def format_sign_file(sm: SignMatrix, seed: int) -> str:
+    return f"# generator {GENERATOR} seed={seed}\n" + format_sign_matrix(sm)
+
+
+def format_witness_file(w: WitnessMatrix, seed: int) -> str:
+    return f"{WITNESS_HEADER}{w.t}\n" + format_sign_file(w.signs, seed)
+
+
+def parse_witness_file(text: str) -> WitnessMatrix:
+    """Parse a .witness file: the 'witness t=<t>' header, then the sign-matrix format."""
+    lineno, header = next(meaningful_lines(text), (1, ""))
+    if not header.startswith(WITNESS_HEADER):
+        raise FormatError(lineno, "expected header 'witness t=<t>'")
+    return parse_witness_or_signs(text)
+
+
+def parse_witness_or_signs(text: str) -> WitnessMatrix | None:
+    """The witness a .witness or sign file defines, or None for a numeric matrix file.
+
+    A sign file has a sign row below its header. One pass over the lines, so
+    errors name the file's own line.
+    """
+    lines = list(meaningful_lines(text))
+    if not lines:
+        raise FormatError(1, "empty input file")
+    lineno, header = lines[0]
+    if not header.startswith(WITNESS_HEADER):
+        signs = any(is_sign_row(content) for _, content in lines[1:])
+        return build_witness(_parse_sign_lines(lines)) if signs else None
+    try:
+        t = int(header[len(WITNESS_HEADER):])
+    except ValueError:
+        raise FormatError(lineno, "bad t in witness header") from None
+    if "_" in header:  # int() read '0_2' as 2
+        raise FormatError(lineno, "bad t in witness header")
+    sm = _parse_sign_lines(lines[1:], lineno + 1)
+    if sm.cols != t:
+        raise FormatError(lineno, f"header says t={t} but sign matrix has {sm.cols} columns")
+    return build_witness(sm)
 
 
 @dataclass(frozen=True)

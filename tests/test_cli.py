@@ -12,10 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monomat import cli
-from monomat.cli import main, parse_witness_file
+from monomat.cli import main
 from monomat.errors import InternalCheckError
 from monomat.matrix import format_matrix, parse_matrix
-from monomat.witness import build_witness, sample_sign_matrix
+from monomat.witness import (
+    build_witness,
+    parse_witness_file,
+    parse_witness_or_signs,
+    sample_sign_matrix,
+)
 
 INCREASING_4X4 = "4 4\n1 2 3 4\n5 6 7 8\n9 10 11 12\n13 14 15 16\n"
 
@@ -327,6 +332,61 @@ def test_verify_oracle_only_beyond_t20_exit_2(tmp_path, capsys):
     assert captured.out == "" and "t <= 20" in captured.err
 
 
+@pytest.mark.parametrize(
+    "text, err",
+    [
+        ("witness t=2\n# generator mt19937 seed=0\n1 2\n+ x\n",
+         "input error: line 4: bad sign entry 'x'\n"),
+        ("# c\n\nwitness t=2\n1 2\n+ - +\n", "input error: line 5: expected 2 entries, found 3\n"),
+    ],
+)
+def test_verify_witness_file_error_names_the_files_own_line(text, err, tmp_path, capsys):
+    path = tmp_path / "bad.witness"
+    path.write_text(text)
+    assert run(["verify", path, "--n", 2]) == 2
+    assert capsys.readouterr() == ("", err)
+
+
+def test_witness_files_read_back_to_the_sampled_sign_matrix(tmp_path, capsys):
+    assert run(["witness", "--d", 6, "--t", 5, "--n", 3, "--s", 2, "--seed", 9,
+                "--output-prefix", tmp_path / "w"]) == 0
+    capsys.readouterr()
+    sm = sample_sign_matrix(6, 5, 3, 2, seed=9)
+    for suffix in (".signs", ".witness"):
+        lines = (tmp_path / f"w{suffix}").read_text().splitlines()
+        assert sum(line[0] in "+-" for line in lines) == 6
+        for sep in (" ", "", "\t"):  # spaced as written, compact, tab-separated
+            rows = [line.replace(" ", sep) if line[0] in "+-" else line for line in lines]
+            assert parse_witness_or_signs("\n".join(rows) + "\n").signs == sm
+    assert parse_witness_file((tmp_path / "w.witness").read_text()).signs == sm
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["witness", "--d", 3, "--t", 21, "--n", 4, "--s", 2, "--materialize",
+          "--output-prefix", "{out}/x"], "refusing to materialize beyond t=20"),
+        (["verify", "{inc}", "--n", 2, "--structural"],
+         "the structural check needs a witness or sign file"),
+        (["verify", "{wide}", "--n", 2, "--oracle"], "oracle check needs t <= 20 to materialize"),
+    ],
+)
+def test_refusals_go_through_the_exit_table(argv, message, inc_matrix, tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    wide = wide_witness(tmp_path, [["+"] * 21] * 4)
+    assert run([str(a).format(out=out, inc=inc_matrix, wide=wide) for a in argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not list(out.iterdir())
+
+
+def test_verify_structural_parses_a_matrix_file_before_refusing(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_text("2 2\n1 2\n3 oops\n")
+    assert run(["verify", path, "--n", 2, "--structural"]) == 2
+    assert capsys.readouterr() == ("", "input error: line 3: bad value 'oops'\n")
+
+
 def test_verify_reads_compact_and_spaced_sign_files_alike(tmp_path, capsys):
     results = []
     for name, body in (
@@ -418,6 +478,30 @@ def test_lemma_commands(capsys):
     assert "length: 8" in capsys.readouterr().out
     assert run(["lemma", "2.4", "--d", 48, "--t", 16, "--n", 3, "--s", 2, "--seed", 5]) == 0
     capsys.readouterr()
+
+
+def test_lemma_3_1_checks_a_large_split_quickly(capsys):
+    # 2^30 (first, second) pairs: a pairwise check would not finish in time.
+    start = time.perf_counter()
+    assert run(["lemma", "3.1", "--d", 1, "--N", 65536]) == 0
+    assert time.perf_counter() - start < 5
+    assert "check: OK" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("fault", ["flipped sign", "swapped halves"])
+def test_lemma_3_1_check_catches_a_wrong_split(fault, monkeypatch, capsys):
+    split = cli.extraction.bipartite_split
+
+    def wrong_split(seq):
+        sign, first, second = split(seq)
+        if fault == "flipped sign":
+            return (-sign[0],) + sign[1:], first, second
+        return sign, second, first
+
+    monkeypatch.setattr(cli.extraction, "bipartite_split", wrong_split)
+    # 2^(d+1) divides N, so the lemma's guarantee applies and a failed check exits 6.
+    assert run(["lemma", "3.1", "--d", 2, "--N", 64, "--seed", 7]) == 6
+    assert "check: FAIL" in capsys.readouterr().out
 
 
 def test_oracle_command(inc_matrix, capsys):

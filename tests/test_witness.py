@@ -27,6 +27,8 @@ from monomat.witness import (
     format_sign_matrix,
     is_sign_row,
     parse_sign_matrix,
+    parse_witness_file,
+    parse_witness_or_signs,
     sample_sign_matrix,
     structural_counterexample,
     verify_witness,
@@ -235,6 +237,52 @@ def test_sign_matrix_round_trip():
         parse_sign_matrix("1 2\n+ x\n")
     with pytest.raises(FormatError):
         parse_sign_matrix("")
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("# c\n\nwitness t=2\n2 2\n+ -\n+ x\n", 6, "bad sign entry 'x'"),
+        ("witness t=2\n# generator mt19937 seed=0\n1 2\n+ x\n", 4, "bad sign entry 'x'"),
+        ("# c\n\nwitness t=2\n1 2\n+ - +\n", 5, "expected 2 entries, found 3"),
+        ("witness t=3\n#\n2 3\n+-+\n\n+ -\n", 6, "expected 3 entries, found 2"),
+        ("\nwitness t=2\n\n3 2\n+ -\n- +\n", 4, "expected 3 data rows, found 2"),
+        ("# c\n\nwitness t=2\n# c\n2 x\n", 5, "header must be 'd t'"),
+        ("# c\nwitness t=2\n", 3, "empty sign-matrix file"),
+        ("\n# c\nwitness t=3\n1 2\n+-\n", 3, "header says t=3 but sign matrix has 2 columns"),
+    ],
+)
+def test_witness_file_errors_name_the_files_own_line(text, line, message):
+    for parse in (parse_witness_file, parse_witness_or_signs):
+        with pytest.raises(FormatError) as exc:
+            parse(text)
+        assert (exc.value.line, str(exc.value)) == (line, f"line {line}: {message}")
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("witness t=0_2\n1_0 2\n" + "+ -\n" * 10, 1, "bad t in witness header"),
+        ("witness t=2\n1_0 2\n" + "+ -\n" * 10, 2, "header must be 'd t'"),
+        ("# c\n1_0 2\n" + "+ -\n" * 10, 2, "header must be 'd t'"),
+        ("1 0_2\n+ -\n", 1, "header must be 'd t'"),
+    ],
+)
+def test_sign_headers_refuse_underscore(text, line, message):
+    # int() reads '1_0' as 10 and '0_2' as 2, so each of these would parse.
+    with pytest.raises(FormatError) as exc:
+        parse_witness_or_signs(text)
+    assert str(exc.value) == f"line {line}: {message}"
+
+
+def test_reader_tells_numeric_matrices_from_sign_files():
+    assert parse_witness_or_signs("2 2\n1 2\n-5 +1\n") is None
+    assert parse_witness_or_signs("1 2\n+1 -1\n") is None  # no bare sign: a matrix
+    assert parse_witness_or_signs("1 2\n+ -1\n").signs == SignMatrix.from_rows([[1, -1]])
+    with pytest.raises(FormatError, match="line 1: empty input file"):
+        parse_witness_or_signs("# c\n\n")
+    with pytest.raises(FormatError, match="line 2: expected header 'witness t=<t>'"):
+        parse_witness_file("# c\n1 2\n+ -\n")
 
 
 def test_is_sign_row():
