@@ -27,7 +27,7 @@ from .errors import (
     InternalCheckError,
     MonomatError,
 )
-from .matrix import format_matrix, parse_matrix, sign_str
+from .matrix import parse_matrix, sign_str, write_int_matrix
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -108,7 +108,8 @@ def cmd_witness(args) -> int:
     written = [str(sign_path), str(witness_path)]
     if args.materialize:
         matrix_path = Path(f"{args.output_prefix}.matrix")
-        matrix_path.write_text(format_matrix(w.materialize()))
+        with matrix_path.open("w") as out:
+            write_int_matrix(out, w.rows, w.cols, w.dense_rows())
         written.append(str(matrix_path))
 
     payload = {

@@ -15,6 +15,7 @@ coordinate i; matrix row indices stay 0-based.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from math import comb
 from typing import ClassVar
@@ -40,6 +41,9 @@ MAX_MATERIALIZE_T = 20
 GENERATOR = "mt19937"  # random.Random's generator, named in every generated file
 WITNESS_HEADER = "witness t="
 _SIGN_ENTRIES = {"+": 1, "+1": 1, "-": -1, "-1": -1}
+# A '+' or '-' with no non-whitespace character on either side: a bare-sign
+# token. Leading with the sign lets the regex engine skip to candidate signs.
+_BARE_SIGN = re.compile(r"[+-](?!\S)(?<!\S[+-])")
 
 
 def colex_delta(x: BitVector, y: BitVector) -> int:
@@ -139,9 +143,12 @@ def is_sign_row(line: str) -> bool:
     parse_sign_matrix reads a row with no whitespace one character per entry,
     so such a compact row is a sign row when every character is '+' or '-'; a
     row of whitespace-separated tokens is one when some token is a bare sign.
-    A numeric row such as '-5' is neither.
+    A numeric row such as '-5' is neither. Both tests run at C speed without
+    splitting the row, since verify sniffs every row of a numeric matrix file.
     """
-    return set(line) <= {"+", "-"} or any(tok in ("+", "-") for tok in line.split())
+    if not line.strip("+-"):
+        return True
+    return ("+" in line or "-" in line) and _BARE_SIGN.search(line) is not None
 
 
 def format_sign_matrix(sm: SignMatrix) -> str:
@@ -224,24 +231,28 @@ class WitnessMatrix:
     def column(self, k: int) -> tuple[int, ...]:
         return tuple(self.entry(a, k) for a in range(self.rows))
 
-    def materialize(self) -> Matrix:
-        """Dense form, at most 2^MAX_MATERIALIZE_T columns; entry() is the defining formula.
+    def dense_rows(self):
+        """The dense form's rows one at a time, each a tuple of 2^t ints, t <= MAX_MATERIALIZE_T.
 
-        Rows are built in colex order, O(2^t) per row: columns 2^i + 1..2^(i+1)
-        repeat columns 1..2^i shifted by 2^(i+1) * s_i.
+        A row is built in colex order, O(2^t): columns 2^i + 1..2^(i+1)
+        repeat columns 1..2^i shifted by 2^(i+1) * s_i. Only the row being
+        yielded is held, so a caller that writes each row out never holds
+        the d x 2^t matrix.
         """
         if self.t > MAX_MATERIALIZE_T:
             raise MonomatError(
                 f"refusing to materialize 2^{self.t} columns (limit 2^{MAX_MATERIALIZE_T})"
             )
-        rows = []
         for signs in self.signs.entries:
             row = [0]
             for i, sign in enumerate(signs):
                 step = (2 << i) * sign
                 row += [v + step for v in row]
-            rows.append(tuple(row))
-        return Matrix(tuple(rows))
+            yield tuple(row)
+
+    def materialize(self) -> Matrix:
+        """Dense form, all of dense_rows() held at once; entry() is the defining formula."""
+        return Matrix(tuple(self.dense_rows()))
 
 
 def build_witness(sm: SignMatrix) -> WitnessMatrix:

@@ -63,3 +63,8 @@ def parse_matrix_per_token(text: str) -> Matrix:
             raise FormatError(lineno, "'_' is not allowed in a value")
         rows.append(tuple(_parse_value(tok, lineno) for tok in tokens))
     return Matrix(tuple(rows))
+
+
+def is_sign_row_by_tokens(line: str) -> bool:
+    """The sign-row test spelled out: every character a sign, or some whitespace token a bare sign."""
+    return set(line) <= {"+", "-"} or any(tok in ("+", "-") for tok in line.split())

@@ -4,6 +4,7 @@ import io
 import json
 import random
 import time
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from types import SimpleNamespace
 
@@ -136,6 +137,22 @@ def test_witness_determinism_byte_identical(tmp_path, capsys):
     for suffix in (".signs", ".witness", ".matrix"):
         assert (tmp_path / f"a{suffix}").read_bytes() == (tmp_path / f"b{suffix}").read_bytes()
     capsys.readouterr()
+
+
+def test_witness_materialize_streams_rows(tmp_path, capsys):
+    # 16 x 2^14 values held whole as ints and text peak near 15 MB; one row is under 1 MB.
+    argv = ["witness", "--d", 16, "--t", 14, "--n", 8, "--s", 3,
+            "--output-prefix", tmp_path / "w", "--materialize"]
+    tracemalloc.start()
+    try:
+        assert run(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MB"
+    with (tmp_path / "w.matrix").open() as f:
+        assert next(f) == "16 16384\n" and sum(1 for _ in f) == 16
 
 
 def test_verify_pass_witness_exit_0(tmp_path, capsys):

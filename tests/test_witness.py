@@ -1,5 +1,6 @@
 """Colex machinery, implicit witness matrices, sampling, and structural checks."""
 
+import io
 import random
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ from monomat.errors import (
     RankOutOfRangeError,
 )
 from monomat.extraction import BLUE, RED, ColoredMatrix
-from monomat.matrix import INCREASING, Matrix, format_matrix, sign_diff
+from monomat.matrix import INCREASING, Matrix, format_matrix, sign_diff, write_int_matrix
 from monomat.oracle import SearchBudget, brute_force_row_monotone
 from monomat.witness import (
     SignMatrix,
@@ -33,7 +34,7 @@ from monomat.witness import (
     structural_counterexample,
     verify_witness,
 )
-from reference import brute_force_monochromatic, row_set_profiles
+from reference import brute_force_monochromatic, is_sign_row_by_tokens, row_set_profiles
 
 
 def test_colex_delta():
@@ -121,6 +122,25 @@ def test_materialize_limit():
     sm = SignMatrix.from_rows([[1] * 21])
     with pytest.raises(MonomatError):
         build_witness(sm).materialize()
+
+
+def test_streamed_rows_equal_the_materialized_matrix_text():
+    rng = random.Random(11)
+    cases = [
+        SignMatrix.from_rows([[1 - 2 * rng.getrandbits(1) for _ in range(t)] for _ in range(d)])
+        for d in range(1, 7)
+        for t in range(1, 11)
+    ]
+    cases += [SignMatrix.from_rows([[1] * 6, [-1] * 6]), SignMatrix.from_rows([[-1] * 9])]
+    for sm in cases:
+        w = build_witness(sm)
+        dense = w.materialize()
+        out = io.StringIO()
+        write_int_matrix(out, w.rows, w.cols, w.dense_rows())
+        assert out.getvalue() == format_matrix(dense)
+        assert [list(row) for row in dense.entries] == [
+            [w.entry(a, k) for k in range(1, w.cols + 1)] for a in range(w.rows)
+        ]
 
 
 def test_sample_sign_matrix_verified_and_deterministic():
@@ -290,6 +310,14 @@ def test_is_sign_row():
     assert is_sign_row("+ -1")  # one bare sign marks the row
     assert is_sign_row("+\t-") and not is_sign_row("-1\t+1")
     assert not is_sign_row("-5") and not is_sign_row("-1 +1") and not is_sign_row("+1")
+    assert is_sign_row("1\xa0-") and not is_sign_row("1-\xa0-1")  # any whitespace splits
+    assert not is_sign_row("5" * 1000) and not is_sign_row("-5 +5 5- 5+ +-5 -+")
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet="+-15e \t", min_size=1, max_size=12))
+def test_is_sign_row_matches_token_split(line):
+    assert is_sign_row(line) == is_sign_row_by_tokens(line)
 
 
 def test_row_set_profiles_definition():
