@@ -8,7 +8,6 @@ guarantee at desk scale.
 
 from .errors import MonomatError
 from .extraction import (
-    ColoredMatrix,
     IndexedSequence,
     PipelineResult,
     TreeLikeCertificate,
@@ -64,7 +63,6 @@ from .witness import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ColoredMatrix",
     "DECREASING",
     "INCREASING",
     "IndexedSequence",

@@ -27,7 +27,7 @@ from .errors import (
     InternalCheckError,
     MonomatError,
 )
-from .matrix import parse_matrix, sign_str, write_int_matrix
+from .matrix import SignMatrix, parse_matrix, sign_str, write_int_matrix
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -131,14 +131,20 @@ def cmd_witness(args) -> int:
 
 def cmd_verify(args) -> int:
     text = _read_text(args.input)
-    w = witness_mod.parse_witness_or_signs(text)
+    try:
+        m, w = parse_matrix(text), None
+    except FormatError:
+        # parse_matrix refuses every sign row and every 'witness t=' header, so
+        # only a file it refuses can be a witness or sign file.
+        w = witness_mod.parse_witness_or_signs(text)
+        if w is None:
+            raise
     run_structural = args.structural or not args.oracle
     run_oracle = args.oracle or not args.structural
 
     payload: dict = {"input": args.input, "n": args.n, "checks": []}
 
     if w is None:
-        m = parse_matrix(text)
         if args.structural:
             raise MonomatError("the structural check needs a witness or sign file")
     else:
@@ -293,17 +299,15 @@ def _lemma_block(args, rng) -> dict:
     # the terms j <= 20 alone pass 2^20, so the sum stops there.
     subsets = sum(math.comb(t, j) for j in range(1, min(s, t, 20) + 1))
     _refuse_beyond_2_20("2.4", subsets, "column subsets")
-    entries = tuple(
-        tuple(extraction.RED if rng.getrandbits(1) else extraction.BLUE for _ in range(t))
-        for _ in range(d)
+    sm = SignMatrix(
+        tuple(tuple(1 if rng.getrandbits(1) else -1 for _ in range(t)) for _ in range(d))
     )
-    cm = extraction.ColoredMatrix(entries)
-    block = extraction.monochromatic_submatrix(cm, n, s)
+    block = extraction.monochromatic_submatrix(sm, n, s)
     ok = block is not None
     if block is not None:
-        rows, cols, color = block
+        rows, cols, sign = block
         ok = len(rows) == n and len(cols) == s and all(
-            cm.entries[a][j] == color for a in rows for j in cols
+            sm.entries[a][j] == sign for a in rows for j in cols
         )
     return {
         "lemma": "monochromatic block",

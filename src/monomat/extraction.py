@@ -30,6 +30,7 @@ from .matrix import (
     MONOTONE,
     ROW_MONOTONE,
     Matrix,
+    SignMatrix,
     SubmatrixWitness,
     ceil_log2,
     is_monotone,
@@ -43,10 +44,6 @@ from .trees import (
     levels_leafset,
     vertex_ancestor,
 )
-
-RED = "red"
-BLUE = "blue"
-
 
 @dataclass(frozen=True)
 class IndexedSequence:
@@ -95,40 +92,6 @@ class TreeLikeCertificate:
     def check(self) -> bool:
         """Exhaustively confirm that ancestor labels match pairwise sign patterns."""
         return is_binary_tree_like(self.sequence) == self.tree
-
-
-@dataclass(frozen=True)
-class ColoredMatrix:
-    """Total red/blue coloring of a d x t grid."""
-
-    entries: tuple[tuple[str, ...], ...]
-
-    def __post_init__(self):
-        if not self.entries:
-            raise ValueError("need at least one row")
-        width = len(self.entries[0])
-        for row in self.entries:
-            if len(row) != width:
-                raise ValueError("ragged rows")
-            if any(c not in (RED, BLUE) for c in row):
-                raise ValueError("entries must be 'red' or 'blue'")
-
-    @classmethod
-    def from_sign_columns(cls, columns, dim: int) -> "ColoredMatrix":
-        """Columns of sign vectors; +1 maps to red, -1 to blue."""
-        return cls(
-            tuple(
-                tuple(RED if col[a] > 0 else BLUE for col in columns) for a in range(dim)
-            )
-        )
-
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0])
 
 
 def _below(col, positions, cut, last):
@@ -345,23 +308,22 @@ def perfect_leafset_extract(tree: LabeledBinaryTree, target: int):
     return levels[target]
 
 
-def single_sign_levels(columns, rows: int, n: int, s: int, max_col_subsets: int | None = None):
-    """Column subsets of size 0, 1, ..., s on which n rows share one sign.
+def single_sign_levels(sm: SignMatrix, n: int, s: int, max_col_subsets: int | None = None):
+    """Column subsets of size 0, 1, ..., s on which n rows of sm share one sign.
 
-    columns holds one +1/-1 sequence of length `rows` per column. Yields one
-    list per depth: the (subset, plus rows, minus rows) of every subset of
-    that size, in lexicographic order, on which some sign keeps n rows. The
-    masks are row bitmasks, and a sign holding fewer than n rows reads 0.
-    Only those subsets are extended, and the levels stop at the first empty
-    one, so a level of depth s is yielded exactly when n rows share s
-    single-sign columns. Raises BudgetExceededError once more than
+    Yields one list per depth: the (subset, plus rows, minus rows) of every
+    subset of that size, in lexicographic order, on which some sign keeps n
+    rows. The masks are row bitmasks, and a sign holding fewer than n rows
+    reads 0. Only those subsets are extended, and the levels stop at the
+    first empty one, so a level of depth s is yielded exactly when n rows
+    share s single-sign columns. Raises BudgetExceededError once more than
     max_col_subsets column extensions have been tallied.
     """
-    full = (1 << rows) - 1
-    plus_rows = [sum(1 << a for a, v in enumerate(col) if v > 0) for col in columns]
+    full = (1 << sm.rows) - 1
+    plus_rows = [sum(1 << a for a, v in enumerate(col) if v > 0) for col in zip(*sm.entries)]
     minus_rows = [full ^ p for p in plus_rows]
     t = len(plus_rows)
-    level = [((), full, full)] if n <= rows else []
+    level = [((), full, full)] if n <= sm.rows else []
     tallied = 0
     for depth in range(s + 1):
         if not level:
@@ -387,25 +349,25 @@ def lowest_rows(mask: int, n: int) -> tuple[int, ...]:
     return tuple(a for a in range(mask.bit_length()) if mask >> a & 1)[:n]
 
 
-def monochromatic_submatrix(cm: ColoredMatrix, n: int, s: int):
-    """First n x s single-color block, or None.
+def monochromatic_submatrix(sm: SignMatrix, n: int, s: int):
+    """First n x s single-sign block as (rows, cols, sign), or None.
 
-    Guaranteed to exist when t >= 4s^2 and d >= 4n * 2^s. Red is tried before
-    blue. Within a color the block is the s-subset of columns whose n-th row
-    comes first, then the lexicographically first such subset, with its first
-    n rows: the first subset a top-down scan of the rows sees n times.
+    Guaranteed to exist when t >= 4s^2 and d >= 4n * 2^s. The sign +1 is
+    tried before -1. Within a sign the block is the s-subset of columns whose
+    n-th row comes first, then the lexicographically first such subset, with
+    its first n rows: the first subset a top-down scan of the rows sees n
+    times.
     """
     if n < 1 or s < 0:
         raise ValueError("need n >= 1 and s >= 0")
-    columns = [[1 if c == RED else -1 for c in col] for col in zip(*cm.entries)]
-    levels = list(single_sign_levels(columns, cm.rows, n, s))
+    levels = list(single_sign_levels(sm, n, s))
     if len(levels) <= s:
         return None
-    for color, side in ((RED, 1), (BLUE, 2)):
+    for sign, side in ((1, 1), (-1, 2)):
         blocks = [(lowest_rows(entry[side], n), entry[0]) for entry in levels[s] if entry[side]]
         if blocks:
             rows, subset = min(blocks, key=lambda block: block[0][-1])
-            return rows, subset, color
+            return rows, subset, sign
     return None
 
 
@@ -688,19 +650,20 @@ def _row_stages(m: Matrix, n: int, fallback_budget: int, stages: list):
     # Layer q of the height-`layers` leaf set carries the label chosen in
     # round (layers - q), so depth 0 holds the newest root label.
     depth_labels = list(reversed(round_labels))
-    colored = ColoredMatrix.from_sign_columns(depth_labels, dim=m.rows)
+    # Built row by row, so zero layers still give m.rows rows of no column.
+    grid = SignMatrix(tuple(tuple(label[a] for label in depth_labels) for a in range(m.rows)))
     for k in range(n, 0, -1):
         s_k = ceil_log2(k)
         if k > m.rows or s_k > layers:
             continue
-        block = monochromatic_submatrix(colored, k, s_k)
+        block = monochromatic_submatrix(grid, k, s_k)
         if block is None:
             continue
-        row_set, depth_set, color = block
+        row_set, depth_set, sign = block
         positions = levels_leafset(layers, depth_set)
         leaf_pool = levels[layers]
         chosen_cols = tuple(sorted(reps[leaf_pool[q - 1] - 1] for q in positions))[:k]
-        direction = INCREASING if color == RED else DECREASING
+        direction, color = (INCREASING, "red") if sign > 0 else (DECREASING, "blue")
         witness = SubmatrixWitness(
             rows=row_set, cols=chosen_cols, kind=ROW_MONOTONE, row_direction=direction
         )

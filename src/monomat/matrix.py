@@ -50,6 +50,39 @@ def sign_str(s: SignVector) -> str:
     return "".join("+" if x > 0 else "-" for x in s)
 
 
+@dataclass(frozen=True)
+class SignMatrix:
+    """d x t matrix over {-1, +1}, stored row-major."""
+
+    entries: tuple[tuple[int, ...], ...]
+
+    @classmethod
+    def from_rows(cls, rows) -> "SignMatrix":
+        rows = tuple(tuple(row) for row in rows)
+        if not rows:
+            raise ValueError("need at least one row")
+        width = len(rows[0])
+        for row in rows:
+            if len(row) != width:
+                raise ValueError("ragged rows")
+            if any(v not in (-1, 1) for v in row):
+                raise ValueError("entries must be -1 or +1")
+        return cls(rows)
+
+    @property
+    def rows(self) -> int:
+        return len(self.entries)
+
+    @property
+    def cols(self) -> int:
+        return len(self.entries[0])
+
+    def col(self, j: int) -> tuple[int, ...]:
+        if not 0 <= j < self.cols:
+            raise IndexOutOfBoundsError(f"column {j} outside 0..{self.cols - 1}")
+        return tuple(row[j] for row in self.entries)
+
+
 _EXACT_TYPES = (int, Fraction)
 
 

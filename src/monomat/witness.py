@@ -15,7 +15,6 @@ coordinate i; matrix row indices stay 0-based.
 from __future__ import annotations
 
 import random
-import re
 from dataclasses import dataclass
 from math import comb
 from typing import ClassVar
@@ -30,7 +29,15 @@ from .errors import (
     RankOutOfRangeError,
 )
 from .extraction import lowest_rows, single_sign_levels
-from .matrix import DECREASING, INCREASING, Matrix, ceil_log2, meaningful_lines
+from .matrix import (
+    DECREASING,
+    INCREASING,
+    Matrix,
+    SignMatrix,
+    ceil_log2,
+    meaningful_lines,
+    sign_str,
+)
 
 BitVector = tuple[int, ...]
 
@@ -41,9 +48,6 @@ MAX_MATERIALIZE_T = 20
 GENERATOR = "mt19937"  # random.Random's generator, named in every generated file
 WITNESS_HEADER = "witness t="
 _SIGN_ENTRIES = {"+": 1, "+1": 1, "-": -1, "-1": -1}
-# A '+' or '-' with no non-whitespace character on either side: a bare-sign
-# token. Leading with the sign lets the regex engine skip to candidate signs.
-_BARE_SIGN = re.compile(r"[+-](?!\S)(?<!\S[+-])")
 
 
 def colex_delta(x: BitVector, y: BitVector) -> int:
@@ -67,39 +71,6 @@ def colex_unrank(t: int, k: int) -> BitVector:
     if not 1 <= k <= 1 << t:
         raise RankOutOfRangeError(f"rank {k} outside 1..2^{t}")
     return tuple((k - 1) >> i & 1 for i in range(t))
-
-
-@dataclass(frozen=True)
-class SignMatrix:
-    """d x t matrix over {-1, +1}, stored row-major."""
-
-    entries: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def from_rows(cls, rows) -> "SignMatrix":
-        rows = tuple(tuple(row) for row in rows)
-        if not rows:
-            raise ValueError("need at least one row")
-        width = len(rows[0])
-        for row in rows:
-            if len(row) != width:
-                raise ValueError("ragged rows")
-            if any(v not in (-1, 1) for v in row):
-                raise ValueError("entries must be -1 or +1")
-        return cls(rows)
-
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0])
-
-    def col(self, j: int) -> tuple[int, ...]:
-        if not 0 <= j < self.cols:
-            raise IndexOutOfBoundsError(f"column {j} outside 0..{self.cols - 1}")
-        return tuple(row[j] for row in self.entries)
 
 
 def parse_sign_matrix(text: str) -> SignMatrix:
@@ -143,17 +114,14 @@ def is_sign_row(line: str) -> bool:
     parse_sign_matrix reads a row with no whitespace one character per entry,
     so such a compact row is a sign row when every character is '+' or '-'; a
     row of whitespace-separated tokens is one when some token is a bare sign.
-    A numeric row such as '-5' is neither. Both tests run at C speed without
-    splitting the row, since verify sniffs every row of a numeric matrix file.
+    A numeric row such as '-5' is neither.
     """
-    if not line.strip("+-"):
-        return True
-    return ("+" in line or "-" in line) and _BARE_SIGN.search(line) is not None
+    return not line.strip("+-") or any(tok in ("+", "-") for tok in line.split())
 
 
 def format_sign_matrix(sm: SignMatrix) -> str:
     lines = [f"{sm.rows} {sm.cols}"]
-    lines.extend(" ".join("+" if v > 0 else "-" for v in row) for row in sm.entries)
+    lines.extend(" ".join(sign_str(row)) for row in sm.entries)
     return "\n".join(lines) + "\n"
 
 
@@ -279,7 +247,7 @@ def sample_sign_matrix(
         candidate = SignMatrix.from_rows(
             [[1 - 2 * rng.getrandbits(1) for _ in range(t)] for _ in range(d)]
         )
-        if len(list(single_sign_levels(zip(*candidate.entries), d, n, s))) <= s:
+        if len(list(single_sign_levels(candidate, n, s))) <= s:
             return candidate
     raise ExhaustedAttemptsError(max_attempts)
 
@@ -335,7 +303,7 @@ def verify_witness(w: WitnessMatrix, n: int, max_col_subsets: int = 10**6) -> Wi
     entries = w.signs.entries
     s = ceil_log2(n)
     max_plus = max_minus = 0
-    for depth, level in enumerate(single_sign_levels(zip(*entries), d, n, s, max_col_subsets)):
+    for depth, level in enumerate(single_sign_levels(w.signs, n, s, max_col_subsets)):
         max_plus = depth if any(p for _, p, _ in level) else max_plus
         max_minus = depth if any(m for _, _, m in level) else max_minus
 

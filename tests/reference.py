@@ -3,24 +3,23 @@
 from itertools import combinations
 
 from monomat.errors import FormatError
-from monomat.extraction import BLUE, RED
 from monomat.matrix import Matrix, _parse_value, meaningful_lines
 
 
-def brute_force_monochromatic(cm, n: int, s: int):
-    """First n x s single-color block over column subsets, red before blue.
+def brute_force_monochromatic(sm, n: int, s: int):
+    """First n x s single-sign block of a SignMatrix over column subsets, +1 before -1.
 
     For each s-subset of columns (lexicographic), the rows constant in each
-    color are collected; the first subset with n such rows wins.
+    sign are collected; the first subset with n such rows wins.
     """
-    if n > cm.rows or s > cm.cols:
+    if n > sm.rows or s > sm.cols:
         return None
-    entries = cm.entries
-    for cols in combinations(range(cm.cols), s):
-        for color in (RED, BLUE):
-            rows = [a for a in range(cm.rows) if all(entries[a][j] == color for j in cols)]
+    entries = sm.entries
+    for cols in combinations(range(sm.cols), s):
+        for sign in (1, -1):
+            rows = [a for a in range(sm.rows) if all(entries[a][j] == sign for j in cols)]
             if len(rows) >= n:
-                return tuple(rows[:n]), cols, color
+                return tuple(rows[:n]), cols, sign
     return None
 
 
@@ -63,8 +62,3 @@ def parse_matrix_per_token(text: str) -> Matrix:
             raise FormatError(lineno, "'_' is not allowed in a value")
         rows.append(tuple(_parse_value(tok, lineno) for tok in tokens))
     return Matrix(tuple(rows))
-
-
-def is_sign_row_by_tokens(line: str) -> bool:
-    """The sign-row test spelled out: every character a sign, or some whitespace token a bare sign."""
-    return set(line) <= {"+", "-"} or any(tok in ("+", "-") for tok in line.split())

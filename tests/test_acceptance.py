@@ -12,9 +12,6 @@ from itertools import combinations, permutations
 
 from monomat.cli import main
 from monomat.extraction import (
-    BLUE,
-    RED,
-    ColoredMatrix,
     IndexedSequence,
     bipartite_split,
     find_monotone,
@@ -23,7 +20,7 @@ from monomat.extraction import (
     monotone_subsequence_1d,
     tree_like_subsequence,
 )
-from monomat.matrix import Matrix, sign_diff
+from monomat.matrix import Matrix, SignMatrix, sign_diff
 from monomat.oracle import (
     SearchBudget,
     brute_force_monotone,
@@ -109,17 +106,14 @@ def test_lemma_2_4_monochromatic_blocks():
     start = time.perf_counter()
     rng = random.Random(104)
     for _ in range(200):
-        cm = ColoredMatrix(
-            tuple(
-                tuple(RED if rng.getrandbits(1) else BLUE for _ in range(16))
-                for _ in range(48)
-            )
+        sm = SignMatrix.from_rows(
+            [[1 if rng.getrandbits(1) else -1 for _ in range(16)] for _ in range(48)]
         )
-        found = monochromatic_submatrix(cm, 3, 2)
+        found = monochromatic_submatrix(sm, 3, 2)
         assert found is not None
-        rows, cols, color = found
+        rows, cols, sign = found
         assert len(rows) == 3 and len(cols) == 2
-        assert all(cm.entries[a][j] == color for a in rows for j in cols)
+        assert all(sm.entries[a][j] == sign for a in rows for j in cols)
     _report("lemma 2.4 monochromatic blocks (200 colorings)", start, 10)
 
 
@@ -158,8 +152,6 @@ def test_sign_identity_t8():
     start = time.perf_counter()
     rng = random.Random(106)
     for d in (3, 5):
-        from monomat.witness import SignMatrix
-
         sm = SignMatrix.from_rows(
             [[1 - 2 * rng.getrandbits(1) for _ in range(8)] for _ in range(d)]
         )

@@ -497,6 +497,26 @@ def test_lemma_commands(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "d,t,seed,found,regime,code",
+    [(4, 3, 3, False, False, 3), (4, 3, 4, True, False, 0), (48, 16, 1, True, True, 0)],
+)
+def test_lemma_2_4_output_is_pinned(d, t, seed, found, regime, code, capsys):
+    argv = ["lemma", "2.4", "--d", d, "--t", t, "--n", 3, "--s", 2, "--seed", seed]
+    check = "OK" if found else "FAIL"
+    assert run(argv) == code
+    assert capsys.readouterr().out == (
+        f"check: {check}\nd: {d}\nfound: {found}\ngenerator: mt19937\n"
+        f"lemma: monochromatic block\nn: 3\nregime: {regime}\ns: 2\nseed: {seed}\nt: {t}\n"
+    )
+    assert run(argv + ["--format", "json"]) == code
+    expected = dict(
+        check=check, d=d, found=found, generator="mt19937", lemma="monochromatic block",
+        n=3, regime=regime, s=2, seed=seed, t=t,
+    )
+    assert capsys.readouterr().out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
 def test_lemma_3_1_checks_a_large_split_quickly(capsys):
     # 2^30 (first, second) pairs: a pairwise check would not finish in time.
     start = time.perf_counter()

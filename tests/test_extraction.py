@@ -16,9 +16,6 @@ from monomat.errors import (
 )
 from monomat import extraction
 from monomat.extraction import (
-    BLUE,
-    RED,
-    ColoredMatrix,
     IndexedSequence,
     TreeLikeCertificate,
     _descend_tree_like,
@@ -41,6 +38,7 @@ from monomat.matrix import (
     MONOTONE,
     ROW_MONOTONE,
     Matrix,
+    SignMatrix,
     SubmatrixWitness,
     is_monotone,
     is_row_monotone,
@@ -204,41 +202,39 @@ def test_perfect_leafset_insufficient():
 
 
 def test_monochromatic_all_red():
-    cm = ColoredMatrix(((RED,) * 4,) * 4)
-    assert monochromatic_submatrix(cm, 2, 2) == ((0, 1), (0, 1), RED)
+    sm = SignMatrix.from_rows([[1] * 4] * 4)
+    assert monochromatic_submatrix(sm, 2, 2) == ((0, 1), (0, 1), 1)
 
 
 def test_monochromatic_checkerboard():
     for d in (4, 5):
-        entries = tuple(
-            tuple(RED if (a + j) % 2 == 0 else BLUE for j in range(6)) for a in range(d)
+        sm = SignMatrix.from_rows(
+            [[1 if (a + j) % 2 == 0 else -1 for j in range(6)] for a in range(d)]
         )
-        cm = ColoredMatrix(entries)
         n = -(-d // 2)
-        rows, cols, color = monochromatic_submatrix(cm, n, 1)
+        rows, cols, sign = monochromatic_submatrix(sm, n, 1)
         assert cols == (0,)
-        assert color == RED
+        assert sign == 1
         assert rows == tuple(a for a in range(d) if a % 2 == 0)
 
 
 def test_monochromatic_within_guaranteed_bounds():
     rng = random.Random(17)
     for _ in range(50):
-        entries = tuple(
-            tuple(RED if rng.getrandbits(1) else BLUE for _ in range(16)) for _ in range(48)
+        sm = SignMatrix.from_rows(
+            [[1 if rng.getrandbits(1) else -1 for _ in range(16)] for _ in range(48)]
         )
-        cm = ColoredMatrix(entries)
-        found = monochromatic_submatrix(cm, 3, 2)
+        found = monochromatic_submatrix(sm, 3, 2)
         assert found is not None
-        rows, cols, color = found
+        rows, cols, sign = found
         assert len(rows) == 3 and len(cols) == 2
-        assert all(cm.entries[a][j] == color for a in rows for j in cols)
+        assert all(sm.entries[a][j] == sign for a in rows for j in cols)
 
 
 def test_monochromatic_absent_is_a_value():
-    cm = ColoredMatrix(((RED, BLUE), (BLUE, RED)))
-    assert monochromatic_submatrix(cm, 2, 2) is None
-    assert monochromatic_submatrix(cm, 2, 0) == ((0, 1), (), RED)
+    sm = SignMatrix.from_rows([[1, -1], [-1, 1]])
+    assert monochromatic_submatrix(sm, 2, 2) is None
+    assert monochromatic_submatrix(sm, 2, 0) == ((0, 1), (), 1)
 
 
 def lex_first_monotone(seq, n):

@@ -7,9 +7,6 @@ import pytest
 
 from monomat.errors import BudgetExceededError
 from monomat.extraction import (
-    BLUE,
-    RED,
-    ColoredMatrix,
     monochromatic_submatrix,
     monotone_subsequence_1d,
     single_sign_levels,
@@ -20,6 +17,7 @@ from monomat.matrix import (
     MONOTONE,
     ROW_MONOTONE,
     Matrix,
+    SignMatrix,
     SubmatrixWitness,
     is_monotone,
     is_row_monotone,
@@ -210,32 +208,29 @@ def test_oversized_target_is_absent():
 
 
 def test_brute_force_monochromatic_examples():
-    assert brute_force_monochromatic(ColoredMatrix(((RED, RED), (RED, RED))), 2, 2) == (
-        (0, 1),
-        (0, 1),
-        RED,
-    )
-    one_blue = ColoredMatrix(((RED, RED), (RED, BLUE)))
-    assert brute_force_monochromatic(one_blue, 2, 2) is None
+    all_plus = SignMatrix.from_rows([[1, 1], [1, 1]])
+    assert brute_force_monochromatic(all_plus, 2, 2) == ((0, 1), (0, 1), 1)
+    one_minus = SignMatrix.from_rows([[1, 1], [1, -1]])
+    assert brute_force_monochromatic(one_minus, 2, 2) is None
 
 
-def first_block_by_row_scan(cm, n, s):
-    """Reference block search: scan rows top down, tallying each row's s-subsets per color.
+def first_block_by_row_scan(sm, n, s):
+    """Reference block search: scan rows top down, tallying each row's s-subsets per sign.
 
-    Red before blue; the first subset seen in n rows wins, with those n rows.
+    +1 before -1; the first subset seen in n rows wins, with those n rows.
     """
-    if n > cm.rows or s > cm.cols:
+    if n > sm.rows or s > sm.cols:
         return None
-    for color in (RED, BLUE):
+    for sign in (1, -1):
         table: dict[tuple, list[int]] = {}
-        for a in range(cm.rows):
-            row = cm.entries[a]
-            colored_cols = [j for j in range(cm.cols) if row[j] == color]
-            for subset in combinations(colored_cols, s):
+        for a in range(sm.rows):
+            row = sm.entries[a]
+            signed_cols = [j for j in range(sm.cols) if row[j] == sign]
+            for subset in combinations(signed_cols, s):
                 rows_seen = table.setdefault(subset, [])
                 rows_seen.append(a)
                 if len(rows_seen) == n:
-                    return tuple(rows_seen), subset, color
+                    return tuple(rows_seen), subset, sign
     return None
 
 
@@ -246,26 +241,25 @@ def test_brute_force_monochromatic_agrees_with_constructive():
         t = rng.randrange(0, 8)  # n > d and s > t both occur
         n = rng.randrange(1, 5)
         s = rng.randrange(0, 4)
-        red = rng.choice((0.15, 0.5, 0.85))
-        cm = ColoredMatrix(
-            tuple(tuple(RED if rng.random() < red else BLUE for _ in range(t)) for _ in range(d))
+        plus = rng.choice((0.15, 0.5, 0.85))
+        sm = SignMatrix.from_rows(
+            [[1 if rng.random() < plus else -1 for _ in range(t)] for _ in range(d)]
         )
-        expected = first_block_by_row_scan(cm, n, s)
-        assert monochromatic_submatrix(cm, n, s) == expected
-        oracle = brute_force_monochromatic(cm, n, s)
+        expected = first_block_by_row_scan(sm, n, s)
+        assert monochromatic_submatrix(sm, n, s) == expected
+        oracle = brute_force_monochromatic(sm, n, s)
         assert (oracle is None) == (expected is None)
         if oracle is not None:
-            rows, cols, color = oracle
+            rows, cols, sign = oracle
             assert len(rows) == n and len(cols) == s
-            assert all(cm.entries[a][j] == color for a in rows for j in cols)
-        # The tally's depth-s level lists every s-subset some color holds on n rows.
-        columns = [[1 if c == RED else -1 for c in col] for col in zip(*cm.entries)]
-        levels = list(single_sign_levels(columns, d, n, s))
+            assert all(sm.entries[a][j] == sign for a in rows for j in cols)
+        # The tally's depth-s level lists every s-subset some sign holds on n rows.
+        levels = list(single_sign_levels(sm, n, s))
         held = []
         for cols in combinations(range(t), s):
             masks = [
-                sum(1 << a for a in range(d) if all(cm.entries[a][j] == color for j in cols))
-                for color in (RED, BLUE)
+                sum(1 << a for a in range(d) if all(sm.entries[a][j] == sign for j in cols))
+                for sign in (1, -1)
             ]
             masks = [mask if mask.bit_count() >= n else 0 for mask in masks]
             if any(masks):

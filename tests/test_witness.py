@@ -16,7 +16,6 @@ from monomat.errors import (
     LengthMismatchError,
     RankOutOfRangeError,
 )
-from monomat.extraction import BLUE, RED, ColoredMatrix
 from monomat.matrix import INCREASING, Matrix, format_matrix, sign_diff, write_int_matrix
 from monomat.oracle import SearchBudget, brute_force_row_monotone
 from monomat.witness import (
@@ -34,7 +33,7 @@ from monomat.witness import (
     structural_counterexample,
     verify_witness,
 )
-from reference import brute_force_monochromatic, is_sign_row_by_tokens, row_set_profiles
+from reference import brute_force_monochromatic, row_set_profiles
 
 
 def test_colex_delta():
@@ -161,9 +160,9 @@ def rejection_sample(d, t, n, s, seed, max_attempts):
     rng = random.Random(seed)
     for _ in range(max_attempts):
         rows = [[1 - 2 * rng.getrandbits(1) for _ in range(t)] for _ in range(d)]
-        colored = ColoredMatrix(tuple(tuple(RED if v > 0 else BLUE for v in row) for row in rows))
-        if brute_force_monochromatic(colored, n, s) is None:
-            return SignMatrix.from_rows(rows)
+        sm = SignMatrix.from_rows(rows)
+        if brute_force_monochromatic(sm, n, s) is None:
+            return sm
     return None
 
 
@@ -312,12 +311,6 @@ def test_is_sign_row():
     assert not is_sign_row("-5") and not is_sign_row("-1 +1") and not is_sign_row("+1")
     assert is_sign_row("1\xa0-") and not is_sign_row("1-\xa0-1")  # any whitespace splits
     assert not is_sign_row("5" * 1000) and not is_sign_row("-5 +5 5- 5+ +-5 -+")
-
-
-@settings(max_examples=500, deadline=None)
-@given(st.text(alphabet="+-15e \t", min_size=1, max_size=12))
-def test_is_sign_row_matches_token_split(line):
-    assert is_sign_row(line) == is_sign_row_by_tokens(line)
 
 
 def test_row_set_profiles_definition():
