@@ -8,9 +8,7 @@ guarantee at desk scale.
 
 from .errors import MonomatError
 from .extraction import (
-    IndexedSequence,
     PipelineResult,
-    TreeLikeCertificate,
     best_tree_like,
     bipartite_split,
     find_monotone,
@@ -65,7 +63,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DECREASING",
     "INCREASING",
-    "IndexedSequence",
     "InducedTree",
     "LabeledBinaryTree",
     "Matrix",
@@ -74,7 +71,6 @@ __all__ = [
     "SearchBudget",
     "SignMatrix",
     "SubmatrixWitness",
-    "TreeLikeCertificate",
     "WitnessCheckReport",
     "WitnessMatrix",
     "best_tree_like",

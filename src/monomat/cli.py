@@ -27,7 +27,7 @@ from .errors import (
     InternalCheckError,
     MonomatError,
 )
-from .matrix import SignMatrix, parse_matrix, sign_str, write_int_matrix
+from .matrix import Matrix, SignMatrix, parse_matrix, sign_str, submatrix, write_int_matrix
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -63,7 +63,7 @@ def _witness_payload(result: extraction.PipelineResult) -> dict:
         "target": result.target,
         "achieved": result.achieved,
         "met_target": result.met_target,
-        "guaranteed": result.guaranteed,
+        "guaranteed": False,
         "stages": [f"{name}: {detail}" for name, detail in result.stages],
     }
     if result.bottleneck:
@@ -210,10 +210,9 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
-def _random_distinct_vectors(rng: random.Random, d: int, count: int):
-    """Vector sequence with pairwise distinct values in every coordinate."""
-    coords = [rng.sample(range(1, 10 * count + 1), count) for _ in range(d)]
-    return [tuple(coords[a][i] for a in range(d)) for i in range(count)]
+def _random_distinct_rows(rng: random.Random, d: int, count: int) -> Matrix:
+    """d x count matrix whose columns have pairwise distinct values in every row."""
+    return Matrix.from_rows(rng.sample(range(1, 10 * count + 1), count) for _ in range(d))
 
 
 def _refuse_beyond_2_20(lemma: str, count: int, what: str = "values"):
@@ -227,16 +226,17 @@ def _lemma_split(args, rng) -> dict:
     if n_cols < 2:
         raise MonomatError("lemma 3.1 needs --N >= 2")
     _refuse_beyond_2_20("3.1", d * n_cols)
-    vectors = _random_distinct_vectors(rng, d, n_cols)
-    seq = extraction.IndexedSequence.from_vectors(vectors)
-    sign, first, second = extraction.bipartite_split(seq)
+    matrix = _random_distinct_rows(rng, d, n_cols)
+    sign, first, second = extraction.bipartite_split(matrix)
     bound = -(-n_cols // (1 << (d + 1)))
-    ok = len(first) == len(second) >= bound and first.indices[-1] < second.indices[0]
+    ok = len(first) == len(second) >= bound and first[-1] < second[0]
     # Tie-free values: sign_diff(a, b) == sign on all of A x B exactly when each
-    # coordinate separates the halves in its sign's direction.
+    # row separates the halves in its sign's direction.
     ok = ok and all(
-        max(a) < min(b) if direction > 0 else min(a) > max(b)
-        for direction, a, b in zip(sign, zip(*first.vectors), zip(*second.vectors))
+        max(row[i] for i in first) < min(row[j] for j in second)
+        if direction > 0
+        else min(row[i] for i in first) > max(row[j] for j in second)
+        for direction, row in zip(sign, matrix.entries)
     )
     regime = n_cols % (1 << (d + 1)) == 0
     return {
@@ -256,16 +256,17 @@ def _lemma_tree(args, rng) -> dict:
     # Past 2^20 columns the input is too large at any d, so the shift stops at 21.
     n_cols = args.N or 1 << min(m * (d + 1), 21)
     _refuse_beyond_2_20("3.2", d * n_cols)
-    vectors = _random_distinct_vectors(rng, d, n_cols)
-    seq = extraction.IndexedSequence.from_vectors(vectors)
-    cert = extraction.tree_like_subsequence(seq, m)
-    ok = len(cert.sequence) == 1 << m and cert.check()
+    matrix = _random_distinct_rows(rng, d, n_cols)
+    tree, cols = extraction.tree_like_subsequence(matrix, m)
+    ok = len(cols) == 1 << m and (
+        extraction.is_binary_tree_like(submatrix(matrix, range(matrix.rows), cols)) == tree
+    )
     return {
         "lemma": "tree-like subsequence",
         "d": d,
         "m": m,
         "N": n_cols,
-        "length": len(cert.sequence),
+        "length": len(cols),
         "regime": n_cols.bit_length() > m * (d + 1),
         "check": "OK" if ok else "FAIL",
     }
@@ -303,12 +304,10 @@ def _lemma_block(args, rng) -> dict:
         tuple(tuple(1 if rng.getrandbits(1) else -1 for _ in range(t)) for _ in range(d))
     )
     block = extraction.monochromatic_submatrix(sm, n, s)
-    ok = block is not None
-    if block is not None:
-        rows, cols, sign = block
-        ok = len(rows) == n and len(cols) == s and all(
-            sm.entries[a][j] == sign for a in rows for j in cols
-        )
+    rows, cols, sign = block or ((), (), None)
+    ok = block is not None and len(rows) == n and len(cols) == s and all(
+        sm.entries[a][j] == sign for a in rows for j in cols
+    )
     return {
         "lemma": "monochromatic block",
         "d": d,
@@ -316,6 +315,9 @@ def _lemma_block(args, rng) -> dict:
         "n": n,
         "s": s,
         "found": block is not None,
+        "rows": [a + 1 for a in rows],
+        "cols": [j + 1 for j in cols],
+        "sign": sign_str((sign,)) if block else None,
         "regime": t >= 4 * s * s and d >= 4 * n * (1 << s),
         "check": "OK" if ok else "FAIL",
     }

@@ -1,11 +1,11 @@
 """Constructive extraction of (row-)monotone submatrices from wide matrices.
 
-The chain of tools: split a vector sequence into two halves with a uniform
-comparison pattern, iterate that into a tree-like subsequence, thin the
-associated labeled tree to a perfect leaf set with a layered labeling, find a
-single-sign block in the layer labels, and read off a witness. The end-to-end
-pipelines run in best-effort mode on any matrix and report the largest square
-witness they can certify.
+The chain of tools: split the columns of a matrix, read as a vector sequence,
+into two halves with a uniform comparison pattern, iterate that into a
+tree-like subsequence, thin the associated labeled tree to a perfect leaf set
+with a layered labeling, find a single-sign block in the layer labels, and
+read off a witness. The end-to-end pipelines run in best-effort mode on any
+matrix and report the largest square witness they can certify.
 """
 
 from __future__ import annotations
@@ -44,54 +44,6 @@ from .trees import (
     levels_leafset,
     vertex_ancestor,
 )
-
-@dataclass(frozen=True)
-class IndexedSequence:
-    """Sequence of d-dimensional vectors tagged with their original positions."""
-
-    vectors: tuple[tuple, ...]
-    indices: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.vectors) != len(self.indices):
-            raise ValueError("vectors and indices must have equal length")
-        if any(b <= a for a, b in zip(self.indices, self.indices[1:])):
-            raise ValueError("original indices must be strictly increasing")
-        if self.vectors:
-            dim = len(self.vectors[0])
-            if any(len(v) != dim for v in self.vectors):
-                raise ValueError("all vectors must share one dimension")
-
-    @classmethod
-    def from_vectors(cls, vectors) -> "IndexedSequence":
-        vectors = tuple(tuple(v) for v in vectors)
-        return cls(vectors, tuple(range(len(vectors))))
-
-    def __len__(self):
-        return len(self.vectors)
-
-    @property
-    def dim(self) -> int:
-        return len(self.vectors[0]) if self.vectors else 0
-
-    def subsequence(self, positions) -> "IndexedSequence":
-        positions = tuple(positions)
-        return IndexedSequence(
-            tuple(self.vectors[p] for p in positions),
-            tuple(self.indices[p] for p in positions),
-        )
-
-
-@dataclass(frozen=True)
-class TreeLikeCertificate:
-    """A subsequence together with the labeled tree explaining all its sign patterns."""
-
-    sequence: IndexedSequence
-    tree: LabeledBinaryTree
-
-    def check(self) -> bool:
-        """Exhaustively confirm that ancestor labels match pairwise sign patterns."""
-        return is_binary_tree_like(self.sequence) == self.tree
 
 
 def _below(col, positions, cut, last):
@@ -181,15 +133,16 @@ def _split_positions(coords, positions, strict: bool):
     return tuple(signs), first, second
 
 
-def bipartite_split(seq: IndexedSequence):
-    """Split a sequence into halves A, B with A before B and one sign pattern.
+def bipartite_split(m: Matrix):
+    """Split the columns of m into halves A, B with A before B and one sign pattern.
 
-    Returns (sign, A, B) with |A| = |B|; the guarantee |A| >= N/2^(d+1) is
-    exact whenever 2^(d+1) divides N.
+    Returns (sign, A, B): A and B are equal-size tuples of 0-based column
+    indices, and sign_diff(m.column(i), m.column(j)) == sign for every i in A
+    and j in B. The guarantee |A| >= N/2^(d+1) is exact whenever 2^(d+1)
+    divides N. Tied values on a coordinate raise TiedCoordinateError.
     """
-    coords = tuple(zip(*seq.vectors))
-    sign, first, second = _split_positions(coords, list(range(len(seq))), strict=True)
-    return sign, seq.subsequence(first), seq.subsequence(second)
+    sign, first, second = _split_positions(m.entries, list(range(m.cols)), strict=True)
+    return sign, tuple(first), tuple(second)
 
 
 def _descend_tree_like(coords, count: int, target: int | None, strict: bool):
@@ -222,46 +175,47 @@ def _descend_tree_like(coords, count: int, target: int | None, strict: bool):
     return tree, [group[0] for group in groups]
 
 
-def tree_like_subsequence(seq: IndexedSequence, m: int | None) -> TreeLikeCertificate:
-    """Extract a length-2^m subsequence whose sign patterns follow one labeled tree.
+def tree_like_subsequence(m: Matrix, height: int | None):
+    """Columns of m, 2^height of them, whose sign patterns follow one labeled tree.
 
-    Success is guaranteed when len(seq) >= 2^(m(d+1)); on shorter input the
-    construction may die early, raising InsufficientLengthError. With m None
-    it goes as deep as it can. The earliest element of each surviving group
-    is kept as its representative.
+    Returns (tree, cols) with cols the 0-based column indices. Success is
+    guaranteed when m has at least 2^(height(d+1)) columns; on fewer the
+    construction may die early, raising InsufficientLengthError. With height
+    None it goes as deep as it can. The earliest column of each surviving
+    group is kept as its representative.
     """
-    if m is not None and m < 0:
+    if height is not None and height < 0:
         raise ValueError("height must be non-negative")
-    if not len(seq):
-        raise TooShortError("empty sequence")
-    tree, reps = _descend_tree_like(tuple(zip(*seq.vectors)), len(seq), m, strict=True)
-    return TreeLikeCertificate(sequence=seq.subsequence(reps), tree=tree)
+    tree, reps = _descend_tree_like(m.entries, m.cols, height, strict=True)
+    return tree, tuple(reps)
 
 
-def best_tree_like(seq: IndexedSequence) -> TreeLikeCertificate:
-    """Tree-like subsequence of the largest height the construction reaches."""
-    return tree_like_subsequence(seq, None)
+def best_tree_like(m: Matrix):
+    """Tree-like column subsequence of the largest height the construction reaches."""
+    return tree_like_subsequence(m, None)
 
 
-def is_binary_tree_like(seq: IndexedSequence):
-    """The unique labeled tree consistent with all pairwise signs, or None.
+def is_binary_tree_like(m: Matrix):
+    """The unique labeled tree consistent with all pairwise column signs, or None.
 
-    The length must be a power of two. Each pair (i, j) proposes the label
-    sign(v_j - v_i) for the common ancestor of leaves i and j; the sequence is
-    tree-like exactly when no vertex receives two conflicting proposals.
+    The column count must be a power of two. Each pair (i, j) proposes the
+    label sign(column j - column i) for the common ancestor of leaves i and j;
+    the columns are tree-like exactly when no vertex receives two conflicting
+    proposals.
     """
-    n = len(seq)
+    n = m.cols
     if n < 1 or n & (n - 1):
         raise NotPowerOfTwoError(f"length {n} is not a power of two")
-    m = n.bit_length() - 1
+    height = n.bit_length() - 1
+    columns = list(zip(*m.entries))
     labels = {}
     for i in range(n):
         for j in range(i + 1, n):
-            vertex = vertex_ancestor(m, (m, i + 1), (m, j + 1))
-            proposed = sign_diff(seq.vectors[i], seq.vectors[j])
+            vertex = vertex_ancestor(height, (height, i + 1), (height, j + 1))
+            proposed = sign_diff(columns[i], columns[j])
             if labels.setdefault(vertex, proposed) != proposed:
                 return None
-    return LabeledBinaryTree(height=m, dim=seq.dim, labels=labels)
+    return LabeledBinaryTree(height=height, dim=m.rows, labels=labels)
 
 
 def _perfect_descent(tree: LabeledBinaryTree, max_height: int | None = None):
@@ -429,13 +383,12 @@ def _smallest_run(values, run, n: int, direction: str):
 
 @dataclass(frozen=True)
 class PipelineResult:
-    """Outcome of a pipeline run; guaranteed mode refuses, so guaranteed is False."""
+    """Outcome of a best-effort pipeline run; guaranteed mode always refuses."""
 
     witness: SubmatrixWitness | None
     target: int
     achieved: int
     met_target: bool
-    guaranteed: bool
     stages: tuple[tuple[str, str], ...]
     bottleneck: str | None
 
@@ -624,7 +577,6 @@ def _find(m: Matrix, n: int, mode: str, fallback_budget: int, kind: str, constru
         target=n,
         achieved=achieved,
         met_target=met,
-        guaranteed=False,
         stages=tuple(stages),
         bottleneck=None if met else bottleneck,
     )

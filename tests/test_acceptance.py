@@ -12,7 +12,6 @@ from itertools import combinations, permutations
 
 from monomat.cli import main
 from monomat.extraction import (
-    IndexedSequence,
     bipartite_split,
     find_monotone,
     find_row_monotone,
@@ -43,9 +42,9 @@ def _report(name, start, limit):
     assert elapsed < limit, f"{name} exceeded its {limit}s budget ({elapsed:.2f}s)"
 
 
-def _distinct_vectors(rng, d, count):
-    coords = [rng.sample(range(10 * count), count) for _ in range(d)]
-    return [tuple(coords[a][i] for a in range(d)) for i in range(count)]
+def _distinct_columns(rng, d, count):
+    """d x count matrix whose columns are vectors with pairwise distinct coordinates."""
+    return Matrix.from_rows(rng.sample(range(10 * count), count) for _ in range(d))
 
 
 def test_lemma_3_1_bound():
@@ -54,14 +53,14 @@ def test_lemma_3_1_bound():
     cases = [(d, n_cols) for d in (1, 2, 3) for n_cols in (16, 64, 128)]
     for trial in range(1000):
         d, n_cols = cases[trial % len(cases)]
-        seq = IndexedSequence.from_vectors(_distinct_vectors(rng, d, n_cols))
-        sign, first, second = bipartite_split(seq)
+        m = _distinct_columns(rng, d, n_cols)
+        sign, first, second = bipartite_split(m)
         bound = -(-n_cols // (1 << (d + 1)))
         assert len(first) == len(second) >= bound
-        for i in range(len(first)):
-            for j in range(len(second)):
-                assert first.indices[i] < second.indices[j]
-                assert sign_diff(first.vectors[i], second.vectors[j]) == sign
+        for i in first:
+            for j in second:
+                assert i < j
+                assert sign_diff(m.column(i), m.column(j)) == sign
     _report("lemma 3.1 split bound (1000 instances)", start, 10)
 
 
@@ -72,14 +71,14 @@ def test_lemma_3_2_tree_like():
     for trial in range(200):
         d, m = cases[trial % 2]
         n_cols = 1 << (m * (d + 1))
-        seq = IndexedSequence.from_vectors(_distinct_vectors(rng, d, n_cols))
-        cert = tree_like_subsequence(seq, m)
-        assert len(cert.sequence) == 1 << m
+        matrix = _distinct_columns(rng, d, n_cols)
+        tree, cols = tree_like_subsequence(matrix, m)
+        assert len(cols) == 1 << m
         for i in range(1 << m):
             for j in range(i + 1, 1 << m):
                 assert (
-                    sign_diff(cert.sequence.vectors[i], cert.sequence.vectors[j])
-                    == cert.tree.leaf_label(i + 1, j + 1)
+                    sign_diff(matrix.column(cols[i]), matrix.column(cols[j]))
+                    == tree.leaf_label(i + 1, j + 1)
                 )
     _report("lemma 3.2 tree-like identity (200 instances)", start, 10)
 

@@ -497,24 +497,70 @@ def test_lemma_commands(capsys):
     capsys.readouterr()
 
 
+# The block each pinned seed draws: 1-based rows, 1-based columns and sign.
+_BLOCKS = {3: ([], [], None), 4: ([1, 2, 3], [2, 3], "-"), 1: ([1, 2, 3], [5, 10], "+")}
+
+
 @pytest.mark.parametrize(
     "d,t,seed,found,regime,code",
     [(4, 3, 3, False, False, 3), (4, 3, 4, True, False, 0), (48, 16, 1, True, True, 0)],
 )
 def test_lemma_2_4_output_is_pinned(d, t, seed, found, regime, code, capsys):
     argv = ["lemma", "2.4", "--d", d, "--t", t, "--n", 3, "--s", 2, "--seed", seed]
+    rows, cols, sign = _BLOCKS[seed]
     check = "OK" if found else "FAIL"
     assert run(argv) == code
     assert capsys.readouterr().out == (
-        f"check: {check}\nd: {d}\nfound: {found}\ngenerator: mt19937\n"
-        f"lemma: monochromatic block\nn: 3\nregime: {regime}\ns: 2\nseed: {seed}\nt: {t}\n"
+        f"check: {check}\ncols: {' '.join(map(str, cols))}\nd: {d}\nfound: {found}\n"
+        f"generator: mt19937\nlemma: monochromatic block\nn: 3\nregime: {regime}\n"
+        f"rows: {' '.join(map(str, rows))}\ns: 2\nseed: {seed}\nsign: {sign}\nt: {t}\n"
     )
     assert run(argv + ["--format", "json"]) == code
     expected = dict(
-        check=check, d=d, found=found, generator="mt19937", lemma="monochromatic block",
-        n=3, regime=regime, s=2, seed=seed, t=t,
+        check=check, cols=cols, d=d, found=found, generator="mt19937",
+        lemma="monochromatic block", n=3, regime=regime, rows=rows, s=2, seed=seed,
+        sign=sign, t=t,
     )
     assert capsys.readouterr().out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
+_SPLIT = {"lemma": "bipartite split", "check": "OK", "generator": "mt19937"}
+_TREE = {"lemma": "tree-like subsequence", "check": "OK", "generator": "mt19937"}
+
+
+@pytest.mark.parametrize(
+    "argv,payload,code",
+    [
+        (
+            ["3.1", "--d", 2, "--N", 64, "--seed", 7],
+            dict(_SPLIT, N=64, d=2, half_size=9, regime=True, required=8, seed=7, sign="++"),
+            0,
+        ),
+        (
+            ["3.1", "--d", 1, "--N", 17],
+            dict(_SPLIT, N=17, d=1, half_size=5, regime=False, required=5, seed=0, sign="-"),
+            0,
+        ),
+        (
+            ["3.2", "--d", 1, "--m", 3, "--seed", 3],
+            dict(_TREE, N=64, d=1, length=8, m=3, regime=True, seed=3),
+            0,
+        ),
+        (["3.2", "--d", 2, "--m", 3, "--N", 40], None, 2),
+    ],
+    ids=["3.1 in regime", "3.1 out of regime", "3.2", "3.2 construction died"],
+)
+def test_lemma_3_1_and_3_2_output_is_pinned(argv, payload, code, capsys):
+    for fmt in ("text", "json"):
+        assert run(["lemma", *argv, "--format", fmt]) == code
+        captured = capsys.readouterr()
+        if payload is None:
+            expected = ("", "error: construction died at height 2, target 3\n")
+        elif fmt == "text":
+            expected = ("".join(f"{key}: {payload[key]}\n" for key in sorted(payload)), "")
+        else:
+            expected = (json.dumps(payload, indent=2, sort_keys=True) + "\n", "")
+        assert (captured.out, captured.err) == expected
 
 
 def test_lemma_3_1_checks_a_large_split_quickly(capsys):
@@ -529,8 +575,8 @@ def test_lemma_3_1_checks_a_large_split_quickly(capsys):
 def test_lemma_3_1_check_catches_a_wrong_split(fault, monkeypatch, capsys):
     split = cli.extraction.bipartite_split
 
-    def wrong_split(seq):
-        sign, first, second = split(seq)
+    def wrong_split(m):
+        sign, first, second = split(m)
         if fault == "flipped sign":
             return (-sign[0],) + sign[1:], first, second
         return sign, second, first

@@ -16,8 +16,6 @@ from monomat.errors import (
 )
 from monomat import extraction
 from monomat.extraction import (
-    IndexedSequence,
-    TreeLikeCertificate,
     _descend_tree_like,
     _split_positions,
     best_tree_like,
@@ -70,34 +68,35 @@ FIGURE_LABELS = {
 }
 
 
-def distinct_vectors(rng, d, count, spread=10):
-    """Random vectors with pairwise distinct values on every coordinate."""
-    coords = [rng.sample(range(spread * count), count) for _ in range(d)]
-    return [tuple(coords[a][i] for a in range(d)) for i in range(count)]
+def distinct_columns(rng, d, count):
+    """d x count matrix whose columns have pairwise distinct values on every row."""
+    return Matrix.from_rows(rng.sample(range(10 * count), count) for _ in range(d))
 
 
-def check_split(seq, sign, first, second):
+def columns(vectors):
+    """The matrix whose columns are the given vectors."""
+    return Matrix.from_rows(zip(*vectors))
+
+
+def check_split(m, sign, first, second):
     assert len(first) == len(second)
-    for i in range(len(first)):
-        for j in range(len(second)):
-            assert first.indices[i] < second.indices[j]
-            assert sign_diff(first.vectors[i], second.vectors[j]) == sign
+    for i in first:
+        for j in second:
+            assert i < j
+            assert sign_diff(m.column(i), m.column(j)) == sign
 
 
 def test_bipartite_split_forced_pair():
-    seq = IndexedSequence.from_vectors([(5,), (7,)])
-    sign, first, second = bipartite_split(seq)
-    assert sign == (1,)
-    assert first.vectors == ((5,),) and second.vectors == ((7,),)
+    assert bipartite_split(columns([(5,), (7,)])) == ((1,), (0,), (1,))
 
 
 def test_bipartite_split_increasing_run():
-    seq = IndexedSequence.from_vectors([(v,) for v in range(1, 9)])
-    sign, first, second = bipartite_split(seq)
+    m = columns([(v,) for v in range(1, 9)])
+    sign, first, second = bipartite_split(m)
     assert sign == (1,)
-    assert first.indices == (0, 1, 2, 3)
-    assert second.indices == (4, 5, 6, 7)
-    check_split(seq, sign, first, second)
+    assert first == (0, 1, 2, 3)
+    assert second == (4, 5, 6, 7)
+    check_split(m, sign, first, second)
 
 
 def test_bipartite_split_fuzz_with_exhaustive_verification():
@@ -105,61 +104,62 @@ def test_bipartite_split_fuzz_with_exhaustive_verification():
     for _ in range(150):
         d = rng.randrange(1, 4)
         count = rng.choice([16, 64, 128])
-        seq = IndexedSequence.from_vectors(distinct_vectors(rng, d, count))
-        sign, first, second = bipartite_split(seq)
-        check_split(seq, sign, first, second)
+        m = distinct_columns(rng, d, count)
+        sign, first, second = bipartite_split(m)
+        check_split(m, sign, first, second)
         assert len(first) >= -(-count // (1 << (d + 1)))
 
 
 def test_bipartite_split_too_short():
     with pytest.raises(TooShortError):
-        bipartite_split(IndexedSequence.from_vectors([(1,)]))
+        bipartite_split(columns([(1,)]))
 
 
 def test_tree_like_height_zero():
-    seq = IndexedSequence.from_vectors([(3,), (1,), (2,)])
-    cert = tree_like_subsequence(seq, 0)
-    assert cert.sequence.vectors == ((3,),)
-    assert cert.tree.height == 0
+    tree, cols = tree_like_subsequence(columns([(3,), (1,), (2,)]), 0)
+    assert cols == (0,)
+    assert tree.height == 0
 
 
 def test_tree_like_at_the_guaranteed_bound():
     rng = random.Random(2)
     for _ in range(30):
-        seq = IndexedSequence.from_vectors(distinct_vectors(rng, 1, 64))
-        cert = tree_like_subsequence(seq, 3)
-        assert len(cert.sequence) == 8
-        assert cert.check()
-        recovered = is_binary_tree_like(cert.sequence)
-        assert recovered is not None
-        assert recovered.labels == cert.tree.labels
+        m = distinct_columns(rng, 1, 64)
+        tree, cols = tree_like_subsequence(m, 3)
+        assert len(cols) == 8
+        kept = submatrix(m, range(m.rows), cols)
+        recovered = is_binary_tree_like(kept)
+        assert recovered == tree
         # One flipped label breaks the certificate.
-        flipped = dict(cert.tree.labels)
+        flipped = dict(tree.labels)
         flipped[(0, 1)] = tuple(-x for x in flipped[(0, 1)])
-        wrong = LabeledBinaryTree(height=3, dim=1, labels=flipped)
-        assert not TreeLikeCertificate(cert.sequence, wrong).check()
+        assert recovered != LabeledBinaryTree(height=3, dim=1, labels=flipped)
 
 
 def test_tree_like_insufficient_length():
     # coordinate 2 interleaves the halves, so the first split keeps only 2+2
     # and the singleton groups cannot split again at depth 3
     vectors = [(1, 1), (2, 5), (3, 2), (4, 6), (5, 3), (6, 7), (7, 4), (8, 8)]
-    seq = IndexedSequence.from_vectors(vectors)
     with pytest.raises(InsufficientLengthError):
-        tree_like_subsequence(seq, 3)
+        tree_like_subsequence(columns(vectors), 3)
+
+
+def test_tree_like_rejects_a_negative_height():
+    with pytest.raises(ValueError):
+        tree_like_subsequence(columns([(1,), (2,)]), -1)
 
 
 def test_is_binary_tree_like_figure():
-    tree = is_binary_tree_like(IndexedSequence.from_vectors(FIGURE_VECTORS))
+    tree = is_binary_tree_like(columns(FIGURE_VECTORS))
     assert tree is not None
     assert tree.labels == FIGURE_LABELS
 
 
 def test_is_binary_tree_like_small():
-    assert is_binary_tree_like(IndexedSequence.from_vectors([(1, 9), (4, 2)])) is not None
-    assert is_binary_tree_like(IndexedSequence.from_vectors([(1,), (3,), (2,), (4,)])) is None
+    assert is_binary_tree_like(columns([(1, 9), (4, 2)])) is not None
+    assert is_binary_tree_like(columns([(1,), (3,), (2,), (4,)])) is None
     with pytest.raises(NotPowerOfTwoError):
-        is_binary_tree_like(IndexedSequence.from_vectors([(1,), (2,), (3,)]))
+        is_binary_tree_like(columns([(1,), (2,), (3,)]))
 
 
 def random_labeled_tree(rng, m, d):
@@ -568,35 +568,27 @@ def test_pipeline_witnesses_always_validate():
 
 def test_best_tree_like_matches_stepwise_construction():
     rng = random.Random(59)
-    seq = IndexedSequence.from_vectors(distinct_vectors(rng, 2, 200))
-    cert = best_tree_like(seq)
-    assert cert.check()
+    m = distinct_columns(rng, 2, 200)
+    tree, cols = best_tree_like(m)
+    assert is_binary_tree_like(submatrix(m, range(m.rows), cols)) == tree
     # the same height must be reachable directly, and one more must fail
-    again = tree_like_subsequence(seq, cert.tree.height)
-    assert again.sequence == cert.sequence
+    assert tree_like_subsequence(m, tree.height) == (tree, cols)
     with pytest.raises(InsufficientLengthError):
-        tree_like_subsequence(seq, cert.tree.height + 1)
-
-
-def test_indexed_sequence_validation():
-    with pytest.raises(ValueError):
-        IndexedSequence(((1,), (2,)), (3, 3))
+        tree_like_subsequence(m, tree.height + 1)
 
 
 def test_vector_split_raises_on_any_tie():
     with pytest.raises(TiedCoordinateError) as err:
-        bipartite_split(IndexedSequence.from_vectors([(1, 2), (1, 5)]))
+        bipartite_split(columns([(1, 2), (1, 5)]))
     assert err.value.coordinate == 0
     # the tie is away from the median, between the two low values
     with pytest.raises(TiedCoordinateError):
-        bipartite_split(IndexedSequence.from_vectors([(1,), (1,), (2,), (3,)]))
+        bipartite_split(columns([(1,), (1,), (2,), (3,)]))
 
 
 def lifted(m):
-    """Columns of m with every entry lifted to (value, column): tie-free vectors."""
-    return IndexedSequence.from_vectors(
-        tuple((row[i], i) for row in m.entries) for i in range(m.cols)
-    )
+    """m with every entry lifted to v * cols + column: tie-free, ordered as (v, column)."""
+    return Matrix.from_rows([v * m.cols + i for i, v in enumerate(row)] for row in m.entries)
 
 
 def test_row_split_tie_at_the_median():
@@ -605,8 +597,7 @@ def test_row_split_tie_at_the_median():
     m = Matrix.from_rows([[5, 4, 4, 4, 4, 4, 4, 3]])
     sign, first, second = _split_positions(m.entries, list(range(8)), strict=False)
     assert (sign, first, second) == ((1,), [1, 2, 3], [4, 5, 6])
-    lifted_sign, a, b = bipartite_split(lifted(m))
-    assert (lifted_sign, a.indices, b.indices) == (sign, (1, 2, 3), (4, 5, 6))
+    assert bipartite_split(lifted(m)) == (sign, (1, 2, 3), (4, 5, 6))
     with pytest.raises(TiedCoordinateError):
         _split_positions(m.entries, list(range(8)), strict=True)
     # when the first half splits evenly around the cut, its low part is kept
@@ -622,13 +613,10 @@ def test_row_descent_matches_lifted_vector_path():
         spread = rng.choice([1, 2, 3, 5, 1000])
         m = Matrix.from_rows([[rng.randrange(spread) for _ in range(cols)] for _ in range(d)])
         tree, reps = _descend_tree_like(m.entries, m.cols, None, strict=False)
-        cert = best_tree_like(lifted(m))
-        assert tree == cert.tree
-        assert tuple(reps) == cert.sequence.indices
+        assert best_tree_like(lifted(m)) == (tree, tuple(reps))
         target = rng.randrange(tree.height + 1)
         tree, reps = _descend_tree_like(m.entries, m.cols, target, strict=False)
-        cert = tree_like_subsequence(lifted(m), target)
-        assert (tree, tuple(reps)) == (cert.tree, cert.sequence.indices)
+        assert tree_like_subsequence(lifted(m), target) == (tree, tuple(reps))
 
 
 def test_chain_search_matches_both_oracles():
@@ -744,7 +732,7 @@ def test_wide_split_matches_lifted_vector_path_by_selection_and_by_sort(monkeypa
             patch.setattr(extraction, "sorted", recording_sorted, raising=False)
             got = _split_positions(m.entries, list(range(cols)), strict=False)
         sign, first, second = bipartite_split(lifted(m))
-        assert got == (sign, list(first.indices), list(second.indices))
+        assert got == (sign, list(first), list(second))
         ways["full sort" if cols in sorted_lengths else "selection"] += 1
     assert all(ways.values()), ways
 
