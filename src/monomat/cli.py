@@ -28,6 +28,7 @@ from .errors import (
     MonomatError,
 )
 from .matrix import Matrix, SignMatrix, parse_matrix, sign_str, submatrix, write_int_matrix
+from .matrix import meaningful_lines, parse_matrix_lines
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -130,13 +131,13 @@ def cmd_witness(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    text = _read_text(args.input)
+    lines = list(meaningful_lines(_read_text(args.input)))
     try:
-        m, w = parse_matrix(text), None
+        m, w = parse_matrix_lines(lines), None
     except FormatError:
         # parse_matrix refuses every sign row and every 'witness t=' header, so
         # only a file it refuses can be a witness or sign file.
-        w = witness_mod.parse_witness_or_signs(text)
+        w = witness_mod.parse_witness_or_sign_lines(lines)
         if w is None:
             raise
     run_structural = args.structural or not args.oracle

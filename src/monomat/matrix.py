@@ -271,7 +271,11 @@ def parse_matrix(text: str) -> Matrix:
 
     '#' comment lines are ignored. Errors name the offending line.
     """
-    lines = list(meaningful_lines(text))
+    return parse_matrix_lines(list(meaningful_lines(text)))
+
+
+def parse_matrix_lines(lines: list) -> Matrix:
+    """parse_matrix on a file's list of meaningful_lines."""
     if not lines:
         raise FormatError(1, "empty matrix file")
     lineno, header = lines[0]

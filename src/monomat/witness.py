@@ -147,7 +147,11 @@ def parse_witness_or_signs(text: str) -> WitnessMatrix | None:
     A sign file has a sign row below its header. One pass over the lines, so
     errors name the file's own line.
     """
-    lines = list(meaningful_lines(text))
+    return parse_witness_or_sign_lines(list(meaningful_lines(text)))
+
+
+def parse_witness_or_sign_lines(lines: list) -> WitnessMatrix | None:
+    """parse_witness_or_signs on a file's list of meaningful_lines."""
     if not lines:
         raise FormatError(1, "empty input file")
     lineno, header = lines[0]

@@ -355,6 +355,8 @@ def test_verify_oracle_only_beyond_t20_exit_2(tmp_path, capsys):
         ("witness t=2\n# generator mt19937 seed=0\n1 2\n+ x\n",
          "input error: line 4: bad sign entry 'x'\n"),
         ("# c\n\nwitness t=2\n1 2\n+ - +\n", "input error: line 5: expected 2 entries, found 3\n"),
+        ("\n2 3\n+ - +\n+ x +\n", "input error: line 4: bad sign entry 'x'\n"),
+        ("# only a comment\n\n", "input error: line 1: empty input file\n"),
     ],
 )
 def test_verify_witness_file_error_names_the_files_own_line(text, err, tmp_path, capsys):

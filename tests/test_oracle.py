@@ -1,6 +1,7 @@
 """Brute-force ground truth: completeness, soundness, budgets, extremal sequences."""
 
 import random
+from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
@@ -109,6 +110,24 @@ def outcome(search, *args):
         return f"raised {exc}"
 
 
+def random_row(rng, width, values, style):
+    """One row of a random matrix, with ties common when values is small.
+
+    The styles reach the oracle's row codes: rows below zero, rows whose codes
+    are wider than 64 bits, and Fractions (some of them ints) whose
+    denominators differ within a row and from row to row.
+    """
+    if style == "fraction":
+        den = rng.choice((2, 3, 7, 2**70))
+        row = [Fraction(rng.randrange(values), rng.choice((1, den))) for _ in range(width)]
+        return [int(x) if x.denominator == 1 and rng.random() < 0.5 else x for x in row]
+    if style == "negative":
+        return [rng.randrange(values) - values for _ in range(width)]
+    if style == "wide":
+        return [(rng.randrange(values) - values // 2) << 64 for _ in range(width)]
+    return [rng.randrange(values) for _ in range(width)]
+
+
 def test_pruned_search_matches_plain_loop_with_budgets():
     rng = random.Random(17)
     searches = {ROW_MONOTONE: brute_force_row_monotone, MONOTONE: brute_force_monotone}
@@ -117,7 +136,8 @@ def test_pruned_search_matches_plain_loop_with_budgets():
     for _ in range(3000):
         d, width, n = rng.randint(1, 7), rng.randint(1, 14), rng.randint(1, 5)
         values = rng.choice((2, 3, 10, 1000))
-        m = Matrix.from_rows([[rng.randrange(values) for _ in range(width)] for _ in range(d)])
+        style = rng.choice(("int", "negative", "wide", "fraction"))
+        m = Matrix.from_rows([random_row(rng, width, values, style) for _ in range(d)])
         budget = SearchBudget(rng.choice(budgets), rng.choice(budgets))
         for kind, search in searches.items():
             expected = outcome(plain_first_witness, m, n, budget, kind)
