@@ -27,7 +27,7 @@ from .errors import (
     InternalCheckError,
     MonomatError,
 )
-from .matrix import Matrix, SignMatrix, parse_matrix, sign_str, submatrix, write_int_matrix
+from .matrix import Matrix, SignMatrix, parse_matrix, sign_str, submatrix
 from .matrix import meaningful_lines, parse_matrix_lines
 
 EXIT_OK = 0
@@ -39,13 +39,15 @@ EXIT_INTERNAL = 6
 
 
 def _emit(payload: dict, fmt: str, out=None):
-    """Print a payload as deterministic text or JSON; same fields either way."""
+    """Print a payload as deterministic text or JSON; text omits the fields JSON writes as null."""
     out = out or sys.stdout
     if fmt == "json":
         out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         return
     for key in sorted(payload):
         value = payload[key]
+        if value is None:
+            continue
         if isinstance(value, list):
             value = " ".join(str(v) for v in value)
         elif isinstance(value, dict):
@@ -110,7 +112,8 @@ def cmd_witness(args) -> int:
     if args.materialize:
         matrix_path = Path(f"{args.output_prefix}.matrix")
         with matrix_path.open("w") as out:
-            write_int_matrix(out, w.rows, w.cols, w.dense_rows())
+            out.write(f"{w.rows} {w.cols}\n")
+            out.writelines(w.dense_lines())
         written.append(str(matrix_path))
 
     payload = {

@@ -324,15 +324,3 @@ def format_matrix(m: Matrix) -> str:
     lines.extend(" ".join(map(str, row)) for row in m.entries)
     return "\n".join(lines) + "\n"
 
-
-def write_int_matrix(out, d: int, n_cols: int, rows) -> None:
-    """Write format_matrix's text of d rows of n_cols ints to out, one row at a time.
-
-    For an int, '%d' is str(), so the text is byte-identical; one '%' template
-    per file formats each row in a single C-level call and only that row's
-    text is held.
-    """
-    out.write(f"{d} {n_cols}\n")
-    row_format = " ".join(["%d"] * n_cols) + "\n"
-    for row in rows:
-        out.write(row_format % row)

@@ -515,7 +515,9 @@ def test_lemma_2_4_output_is_pinned(d, t, seed, found, regime, code, capsys):
     assert capsys.readouterr().out == (
         f"check: {check}\ncols: {' '.join(map(str, cols))}\nd: {d}\nfound: {found}\n"
         f"generator: mt19937\nlemma: monochromatic block\nn: 3\nregime: {regime}\n"
-        f"rows: {' '.join(map(str, rows))}\ns: 2\nseed: {seed}\nsign: {sign}\nt: {t}\n"
+        f"rows: {' '.join(map(str, rows))}\ns: 2\nseed: {seed}\n"
+        + (f"sign: {sign}\n" if found else "")  # text leaves out JSON's null
+        + f"t: {t}\n"
     )
     assert run(argv + ["--format", "json"]) == code
     expected = dict(
@@ -717,12 +719,23 @@ def test_find_deterministic_output(inc_matrix, tmp_path, capsys):
 
 
 def test_json_text_parity(inc_matrix, capsys):
-    run(["find", inc_matrix, "--n", 2, "--format", "json"])
-    as_json = json.loads(capsys.readouterr().out)
-    run(["find", inc_matrix, "--n", 2, "--format", "text"])
-    text = capsys.readouterr().out
-    for key in as_json:
-        assert f"{key}:" in text
+    for kind in ("row", "full"):
+        run(["find", inc_matrix, "--n", 2, "--kind", kind, "--format", "json"])
+        as_json = json.loads(capsys.readouterr().out)
+        run(["find", inc_matrix, "--n", 2, "--kind", kind, "--format", "text"])
+        text = capsys.readouterr().out
+        for key, value in as_json.items():
+            assert (f"{key}:" in text) == (value is not None)
+
+
+def test_text_output_omits_null_fields(inc_matrix, capsys):
+    # A row-kind witness has no column direction: JSON writes null, text no line.
+    assert run(["find", inc_matrix, "--n", 2]) == 0
+    assert capsys.readouterr().out == (
+        "achieved: 2\ncols: 1 2\nguaranteed: False\nkind: row-monotone\nmet_target: True\n"
+        "row_direction: increasing\nrows: 1 2\n"
+        "stages: fast_path: whole matrix is row-monotone (increasing)\ntarget: 2\n"
+    )
 
 
 def test_parser_is_built_once_and_keeps_no_values(tmp_path, capsys):

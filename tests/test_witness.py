@@ -1,6 +1,5 @@
 """Colex machinery, implicit witness matrices, sampling, and structural checks."""
 
-import io
 import random
 from fractions import Fraction
 
@@ -16,7 +15,7 @@ from monomat.errors import (
     LengthMismatchError,
     RankOutOfRangeError,
 )
-from monomat.matrix import INCREASING, Matrix, format_matrix, sign_diff, write_int_matrix
+from monomat.matrix import INCREASING, Matrix, format_matrix, sign_diff
 from monomat.oracle import SearchBudget, brute_force_row_monotone
 from monomat.witness import (
     SignMatrix,
@@ -121,25 +120,29 @@ def test_materialize_limit():
     sm = SignMatrix.from_rows([[1] * 21])
     with pytest.raises(MonomatError):
         build_witness(sm).materialize()
+    with pytest.raises(MonomatError):
+        next(build_witness(sm).dense_lines())
 
 
 def test_streamed_rows_equal_the_materialized_matrix_text():
     rng = random.Random(11)
+    shapes = [(d, t) for d in range(1, 7) for t in range(1, 11)] + [(16, 11), (16, 12)]
     cases = [
         SignMatrix.from_rows([[1 - 2 * rng.getrandbits(1) for _ in range(t)] for _ in range(d)])
-        for d in range(1, 7)
-        for t in range(1, 11)
+        for d, t in shapes
     ]
     cases += [SignMatrix.from_rows([[1] * 6, [-1] * 6]), SignMatrix.from_rows([[-1] * 9])]
+    # Rows reaching both ends of the t = 12 table, -8190 and 8190.
+    cases.append(SignMatrix.from_rows([[-1] * 12, [1] * 12]))
     for sm in cases:
         w = build_witness(sm)
         dense = w.materialize()
-        out = io.StringIO()
-        write_int_matrix(out, w.rows, w.cols, w.dense_rows())
-        assert out.getvalue() == format_matrix(dense)
+        text = f"{w.rows} {w.cols}\n" + "".join(w.dense_lines())
+        assert text == format_matrix(dense)
         assert [list(row) for row in dense.entries] == [
             [w.entry(a, k) for k in range(1, w.cols + 1)] for a in range(w.rows)
         ]
+    assert [line.split()[-1] for line in text.splitlines()[1:]] == ["-8190", "8190"]
 
 
 def test_sample_sign_matrix_verified_and_deterministic():
