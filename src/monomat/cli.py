@@ -153,10 +153,12 @@ def cmd_verify(args) -> int:
             raise MonomatError("the structural check needs a witness or sign file")
     else:
         limit = witness_mod.MAX_MATERIALIZE_T
-        if w.t > limit and run_oracle:
+        # The oracle holds the whole d x 2^t matrix, so it is refused past 2^22 entries.
+        if run_oracle and (w.t > limit or w.rows << w.t > 1 << 22):
+            need = f"t <= {limit}" if w.t > limit else "d * 2^t <= 2^22 entries"
             if args.oracle:
-                raise MonomatError(f"oracle check needs t <= {limit} to materialize")
-            print(f"oracle check skipped: it needs t <= {limit} to materialize", file=sys.stderr)
+                raise MonomatError(f"oracle check needs {need} to materialize")
+            print(f"oracle check skipped: it needs {need} to materialize", file=sys.stderr)
             payload["oracle"] = "skipped"
             run_oracle = False
         if run_structural:

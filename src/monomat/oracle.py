@@ -8,10 +8,12 @@ not exist".
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import combinations, repeat
-from math import comb, lcm
-from operator import attrgetter, ge, le, lshift, mul, or_, sub
+from functools import reduce
+from itertools import accumulate, combinations, compress, repeat
+from math import comb
+from operator import and_, ge, getitem, le, or_
 
 from .errors import BudgetExceededError
 from .matrix import (
@@ -23,7 +25,9 @@ from .matrix import (
     SubmatrixWitness,
 )
 
-_BLOCK = 64  # columns packed at a time, as the search first reaches them
+_BLOCK = 64  # columns per order table and per mask
+_BITS = [1 << i for i in range(_BLOCK)]
+_LATER = [(1 << _BLOCK) - (2 << i) for i in range(_BLOCK)]  # the bits above bit i
 
 
 @dataclass(frozen=True)
@@ -38,40 +42,103 @@ class SearchBudget:
             raise ValueError("budgets must be positive")
 
 
-def _code_rule(row) -> tuple:
-    """(low, scale, bits) of a row: its codes (v - low) * scale are non-negative
-    ints in the order of its entries, none wider than bits. low is the row's
-    minimum and scale the lcm of its denominators, or 0 when every entry is an
-    int and the codes are v - low.
+def _order_table(values) -> tuple:
+    """(keys, at_least, at_most, ranks) of one row's block of values.
+
+    keys are the distinct values in increasing order and ranks[i] is the
+    index in keys of the i-th value. Bit i of at_least[k] (of at_most[k]) is
+    set when the i-th value is >= keys[k] (<= keys[k]); at_least ends in 0.
+    So the columns weakly above a value v are at_least[bisect_left(keys, v)]
+    and those strictly above it are at_least[bisect_right(keys, v)].
     """
-    low, high = min(row), max(row)
-    # An int plus a Fraction is a Fraction, so the sum is an int only if every entry is.
-    if type(sum(row)) is int:
-        return low, 0, (high - low).bit_length()
-    scale = lcm(*map(attrgetter("denominator"), row))
-    return low, scale, int((high - low) * scale).bit_length()
+    marks: dict = {}
+    for bit, v in zip(_BITS, values):
+        marks[v] = marks.get(v, 0) | bit
+    keys = sorted(marks)
+    bits = [marks[v] for v in keys]
+    at_least = list(accumulate(reversed(bits), or_, initial=0))
+    at_least.reverse()
+    rank = dict(zip(keys, range(len(keys))))
+    return keys, at_least, list(accumulate(bits, or_)), bytes(map(rank.__getitem__, values))
+
+
+def _block(m: Matrix, rows, tables: dict, shared: list, b: int, kind: str) -> tuple:
+    """Block b of the chosen rows: (keys, at_least, up, down, inc, dec, chains).
+
+    keys and at_least hold each row's lists, to bisect values of earlier
+    blocks. up[i] (down[i]) marks the later columns of the block weakly above
+    (below) its i-th column in every row. inc (dec) marks its columns weakly
+    increasing (decreasing) down the rows: every column and none for the row
+    kind. chains[t] is the pair of masks of the columns of inc | dec that
+    start a chain of t such columns, each in the up (down) mask of the one
+    before. Only in the last block does every chain end inside the block,
+    so in the others chains lets every column through.
+
+    Order tables are kept in tables, per row and block, as they are first
+    read. shared[b] keeps up, down, inc and dec of the first n - 1 rows, so a
+    row subset that shares them with the one before adds only its last row.
+    """
+    n, lo, end = len(rows), b * _BLOCK, min(b * _BLOCK + _BLOCK, m.cols)
+    start = n - 1
+    if shared[b] is None:
+        full = (1 << end - lo) - 1
+        shared[b], start = (_LATER, _LATER, full, full if kind == MONOTONE else 0), 0
+    up, down, inc, dec = shared[b]
+    for i in range(start, n):
+        if i == n - 1:
+            shared[b] = up, down, inc, dec
+        table = tables.get((rows[i], b))
+        if table is None:
+            table = tables[rows[i], b] = _order_table(m.entries[rows[i]][lo:end])
+        keys, at_least, at_most, ranks = table
+        if len(keys) > 1:  # a constant row has every column above and below the others
+            up = list(map(and_, up, map(at_least.__getitem__, ranks)))
+            down = list(map(and_, down, map(at_most.__getitem__, ranks)))
+        if kind == MONOTONE and i:
+            upper, lower = m.entries[rows[i - 1]][lo:end], m.entries[rows[i]][lo:end]
+            inc &= sum(compress(_BITS, map(le, upper, lower)))
+            dec &= sum(compress(_BITS, map(ge, upper, lower)))
+    keys, at_least = zip(*(tables[a, b][:2] for a in rows))
+    if end < m.cols:
+        return keys, at_least, up, down, inc, dec, [(-1, -1)] * (n + 1)
+    chains = zip(_chain_starts(up, inc | dec, n), _chain_starts(down, inc | dec, n))
+    return keys, at_least, up, down, inc, dec, list(chains)
+
+
+def _chain_starts(later: list, cols: int, n: int) -> list:
+    """For t = 0..n, the mask of the columns of cols that start a chain of t
+    columns of cols, each in the later mask of the one before."""
+    ends = cols
+    out = [ends, ends]
+    for _ in range(n - 1):
+        if ends:
+            ends = cols & sum(compress(_BITS, map(and_, later, repeat(ends))))
+        out.append(ends)
+    return out
 
 
 def _first_witness(m: Matrix, n: int, budget: SearchBudget, kind: str):
     """First n x n witness of the kind, rows outer and columns inner, or None.
 
     Per row subset, column subsets are visited depth first in lexicographic
-    order, and a prefix is extended only while its rows (and, for the full
-    kind, its columns) share a weak direction. A subsequence of a weakly
-    monotone sequence is monotone the same way, so no skipped subset is a
-    witness. Skipped subsets still count against the column budget, so the
-    search raises where a plain loop over all column subsets would.
+    order. A node (a picked prefix) gets the columns it can take next as a
+    bitmask, 64 columns (a block) at a time, and walks only its set bits. A
+    column survives when the chosen rows (and, for the full kind, the picked
+    columns) keep a shared weak direction through it and, in the last block,
+    when it starts a chain as long as the columns still to pick. A
+    subsequence of a weakly monotone sequence is monotone the same way, so
+    no skipped subset is a witness. Skipped subsets still count against the
+    column budget, so the search raises where a plain loop over all column
+    subsets would: with r columns still to pick after a skipped column j,
+    C(W - 1 - j, r) subsets extend it, and a run of skipped columns a..b
+    counts C(W - a, r + 1) - C(W - b - 1, r + 1) at once.
 
-    Rows are compared on codes, not entries: each row's entries map to
-    non-negative ints in the same order (_code_rule), and a column's codes in
-    the chosen rows are packed into one int, b bits a field, where b is one
-    more than the widest code. The top bit of each field is a guard, and G is
-    the mask of them all. Column j is weakly above column p in every chosen
-    row exactly when ((P[j] | G) - P[p]) & G == G: each field computes
-    2^(b-1) + x_j - x_p, which lies in [1, 2^b) because both codes are below
-    2^(b-1), so no field borrows from the next and its guard survives exactly
-    when x_j >= x_p. Columns are packed a block at a time as the search first
-    reaches them, so a search that stops early packs only what it read.
+    The columns weakly above the last pick in every chosen row are the AND
+    of one mask per row, read from the row's order table of the block
+    (_order_table): by the pick's rank in its own block, by one bisect in
+    later blocks. Below likewise; the full kind also ANDs one mask per pair
+    of adjacent rows. Tables are built as the search first reaches a block,
+    so memory stays linear in the columns read.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -80,75 +147,77 @@ def _first_witness(m: Matrix, n: int, budget: SearchBudget, kind: str):
     width = m.cols
     # Counting only matters when the column subsets outnumber the budget.
     cap = budget.max_col_subsets if comb(width, n) > budget.max_col_subsets else 0
-    rules: list = [None] * m.rows  # made when a row subset first uses the row
-    codes: list = [[] for _ in range(m.rows)]  # extended a block at a time
+    n_blocks = -(-width // _BLOCK)
+    tables: dict = {}
+    last = width - n  # a pick at depth k takes a column up to last + k
+    shared_rows = None
     for count, rows in enumerate(combinations(range(m.rows), n), 1):
         if count > budget.max_row_subsets:
             raise BudgetExceededError(f"row-subset budget {budget.max_row_subsets} exhausted")
-        for a in rows:
-            if rules[a] is None:
-                rules[a] = _code_rule(m.entries[a])
-        b = max(rules[a][2] for a in rows) + 1
-        guard = ((1 << n * b) - 1) // ((1 << b) - 1) << (b - 1)
-        # Bits of the directions still open: 1 and 2 rows up and down the
-        # picked columns, 4 and 8 columns up and down the picked rows.
-        packed, guarded, opens, end = [], [], [], 0
-        # top is the picked prefix's state, states the states of its shorter
-        # prefixes, and prev and prev_guarded its last column's packed codes.
-        picks, states, top, skipped, j, depth = [], [], 15, 0, 0, 0
-        last = width - n  # a pick at depth k takes a column up to last + k
-        while depth < n:
-            if j > last + depth:
-                if not depth:
-                    break
-                j = picks.pop() + 1
-                top = states.pop()
-                depth -= 1
-                if depth:
-                    prev, prev_guarded = packed[picks[-1]], guarded[picks[-1]]
-                continue
-            if j == end:
-                end = min(j + _BLOCK, width)
-                for a in rows:
-                    if len(codes[a]) < end:
-                        low, scale, _ = rules[a]
-                        shifted = map(sub, m.entries[a][j:end], repeat(low))
-                        if scale:
-                            shifted = map(int, map(mul, shifted, repeat(scale)))
-                        codes[a] += shifted
-                block = codes[rows[0]][j:end]
-                for k in range(1, n):
-                    shifted = map(lshift, codes[rows[k]][j:end], repeat(k * b))
-                    block = list(map(or_, block, shifted))
-                packed += block
-                guarded += map(or_, block, repeat(guard))
-                if kind == MONOTONE:
-                    opens += [
-                        3 | 4 * all(map(le, v, v[1:])) | 8 * all(map(ge, v, v[1:]))
-                        for v in zip(*(m.entries[a][j:end] for a in rows))
-                    ]
-                else:
-                    opens += repeat(15, end - j)
-            state = top & opens[j]
-            if depth:
-                if state & 1 and (guarded[j] - prev) & guard != guard:
-                    state ^= 1
-                if state & 2 and (prev_guarded - packed[j]) & guard != guard:
-                    state ^= 2
-            if state & 3 and state & 12:
+        if rows[:-1] != shared_rows:
+            shared_rows, shared = rows[:-1], [None] * n_blocks
+        blocks: list = [None] * n_blocks
+        # p is the node's last pick (-1 at the root), hi its last column and
+        # dirs the bits of the directions still open: 1 and 2 rows up and
+        # down the picks, 4 and 8 columns up and down the rows. In its block
+        # b, from column base, rest holds the columns it has yet to take, up
+        # (down) those weakly above (below) p in every row and inc (dec)
+        # those increasing (decreasing) down the rows, each 0 when its
+        # direction is closed. pos is the first column not yet counted.
+        picks: list = []
+        saved: list = []  # the same state of each shorter prefix
+        p, dirs, b, base, hi, pos = -1, 15, -1, -_BLOCK, last, 0
+        rest = up = down = inc = dec = skipped = 0
+        while True:
+            if rest:
+                bit = rest & -rest
+                rest ^= bit
+                j = base + bit.bit_length() - 1
+                if cap:
+                    skipped += comb(width - pos, width - hi) - comb(width - j, width - hi)
+                    if skipped >= cap:
+                        raise BudgetExceededError(f"column-subset budget {cap} exhausted")
+                pos = j + 1
+                state = (bit & up and 1) | (bit & down and 2)
+                state |= (bit & inc and 4) | (bit & dec and 8)
                 picks.append(j)
-                states.append(top)
-                top, prev, prev_guarded = state, packed[j], guarded[j]
-                depth += 1
-            elif cap:  # count every subset that extends the pruned prefix
-                skipped += comb(width - j - 1, n - depth - 1)
-                if skipped >= cap:
-                    raise BudgetExceededError(f"column-subset budget {cap} exhausted")
-            j += 1
-        else:
-            col_dir = (INCREASING if top & 4 else DECREASING) if kind == MONOTONE else None
-            row_dir = INCREASING if top & 1 else DECREASING
-            return SubmatrixWitness(rows, tuple(picks), kind, row_dir, col_dir)
+                if len(picks) == n:
+                    row_dir = INCREASING if state & 1 else DECREASING
+                    col_dir = INCREASING if state & 4 else DECREASING
+                    return SubmatrixWitness(
+                        rows, tuple(picks), kind, row_dir, col_dir if kind == MONOTONE else None
+                    )
+                saved.append((p, dirs, b, base, hi, rest, up, down, inc, dec, pos))
+                p, dirs, b, hi = j, state, pos // _BLOCK, hi + 1
+            elif base + _BLOCK <= hi:
+                b += 1
+            else:  # the node is done: count its skipped tail and go up
+                if cap:
+                    skipped += comb(width - pos, width - hi)
+                    if skipped >= cap:
+                        raise BudgetExceededError(f"column-subset budget {cap} exhausted")
+                if not saved:
+                    break
+                picks.pop()
+                p, dirs, b, base, hi, rest, up, down, inc, dec, pos = saved.pop()
+                continue
+            base = b * _BLOCK
+            if blocks[b] is None:
+                blocks[b] = _block(m, rows, tables, shared, b, kind)
+            keys, at_least, ups, downs, inc, dec, chains = blocks[b]
+            span = (1 << min(hi + 1 - base, _BLOCK)) - 1
+            if p < 0:
+                up = down = span
+            elif p >= base:
+                up, down = ups[p - base] & span, downs[p - base] & span
+            else:
+                at = [m.entries[a][p] for a in rows]
+                up = reduce(and_, map(getitem, at_least, map(bisect_left, keys, at)), span)
+                down = span & ~reduce(or_, map(getitem, at_least, map(bisect_right, keys, at)))
+            up, down = (up if dirs & 1 else 0), (down if dirs & 2 else 0)
+            inc, dec = (inc if dirs & 4 else 0), (dec if dirs & 8 else 0)
+            above, below = chains[width - hi]
+            rest = (up & above | down & below) & (inc | dec)
     return None
 
 

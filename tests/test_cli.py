@@ -349,6 +349,21 @@ def test_verify_oracle_only_beyond_t20_exit_2(tmp_path, capsys):
     assert captured.out == "" and "t <= 20" in captured.err
 
 
+def test_verify_refuses_the_oracle_past_2_22_dense_entries(tmp_path, capsys):
+    # 5 x 2^20 entries: t is within the limit, but d * 2^t is not.
+    path = tmp_path / "tall.signs"
+    path.write_text("5 20\n" + "".join("+-"[a % 2] * 20 + "\n" for a in range(5)))
+    need = "d * 2^t <= 2^22 entries to materialize"
+    assert run(["verify", path, "--n", 4, "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert (payload["checks"], payload["structural"], payload["oracle"]) == (
+        ["structural"], "PASS", "skipped")
+    assert captured.err == f"oracle check skipped: it needs {need}\n"
+    assert run(["verify", path, "--n", 4, "--oracle"]) == 2
+    assert capsys.readouterr() == ("", f"error: oracle check needs {need}\n")
+
+
 @pytest.mark.parametrize(
     "text, err",
     [

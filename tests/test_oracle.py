@@ -1,6 +1,7 @@
 """Brute-force ground truth: completeness, soundness, budgets, extremal sequences."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -113,8 +114,8 @@ def outcome(search, *args):
 def random_row(rng, width, values, style):
     """One row of a random matrix, with ties common when values is small.
 
-    The styles reach the oracle's row codes: rows below zero, rows whose codes
-    are wider than 64 bits, and Fractions (some of them ints) whose
+    The styles reach every kind of value the oracle orders: rows below zero,
+    ints wider than 64 bits, and Fractions (some of them ints) whose
     denominators differ within a row and from row to row.
     """
     if style == "fraction":
@@ -146,6 +147,42 @@ def test_pruned_search_matches_plain_loop_with_budgets():
             found += isinstance(expected, SubmatrixWitness)
     # All three outcomes occur often, so each path is exercised.
     assert raised > 500 and found > 500 and 6000 - raised - found > 500
+    # A shorter draw past one 64-column block, at n <= 2 (n = 3 only with
+    # d = 3) so the plain loop stays cheap. Odd rows reverse the row above up
+    # to a cut, so few column pairs agree before it: witnesses and budget
+    # cuts fall in later blocks too.
+    beyond = cut_short = 0
+    for _ in range(150):
+        n = rng.randint(1, 3)
+        d, width = rng.randint(n, 4 if n < 3 else 3), rng.randint(65, 140)
+        values, style = rng.choice((2, 1000)), rng.choice(("int", "negative", "wide", "fraction"))
+        rows = [random_row(rng, width, values, style) for _ in range(d)]
+        cut = rng.randint(32, width)
+        for a in range(1, d, 2):
+            rows[a][:cut] = [-v for v in rows[a - 1][:cut]]
+        m = Matrix.from_rows(rows)
+        budget = SearchBudget(rng.choice((1, 3, 10**7)), rng.choice((1, 40, 300, 2000, 10**7)))
+        for kind, search in searches.items():
+            expected = outcome(plain_first_witness, m, n, budget, kind)
+            assert outcome(search, m, n, budget) == expected, (m, n, budget, kind)
+            beyond += isinstance(expected, SubmatrixWitness) and expected.cols[-1] >= 64
+            cut_short += isinstance(expected, str) and budget.max_col_subsets in (300, 2000)
+    assert beyond > 10 and cut_short > 10
+
+
+def test_search_memory_stays_linear_in_width():
+    # No two columns agree (row 0 rises, row 1 strictly falls), so the search
+    # reads every block until the budget runs out; masks of every later
+    # column per column and row would take about 100 MB here.
+    m = Matrix.from_rows([list(range(20000)), list(range(20000, 0, -1))])
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError):
+            brute_force_row_monotone(m, 2, SearchBudget(10**6, 10**6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_brute_force_row_monotone_trivial():
