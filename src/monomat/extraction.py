@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import compress
+from operator import ge, le
 
 from .errors import (
     BudgetExceededError,
@@ -33,8 +35,10 @@ from .matrix import (
     SignMatrix,
     SubmatrixWitness,
     ceil_log2,
+    chain_starts,
     is_monotone,
     is_row_monotone,
+    order_table,
     sign_diff,
     sign_str,
     submatrix,
@@ -393,22 +397,7 @@ class PipelineResult:
     bottleneck: str | None
 
 
-def _row_masks(row):
-    """Per column i, the masks of the columns j with row[j] >= row[i] and with row[j] <= row[i]."""
-    order = sorted(range(len(row)), key=row.__getitem__)
-    at_least, at_most = {}, {}
-    acc = 0
-    for j in reversed(order):
-        acc |= 1 << j
-        at_least[row[j]] = acc
-    acc = 0
-    for j in order:
-        acc |= 1 << j
-        at_most[row[j]] = acc
-    return [at_least[v] for v in row], [at_most[v] for v in row]
-
-
-def _first_chain(rel, allowed: int, n: int):
+def _first_chain(rel, allowed: int, n: int, bits):
     """The lexicographically smallest rel-chain of n columns inside `allowed`, or None."""
     # The smallest column, then its smallest successor, and so on: when that
     # reaches n columns, no chain of n columns comes before it.
@@ -418,23 +407,15 @@ def _first_chain(rel, allowed: int, n: int):
         pick = rel[cols[-1]] & allowed
     if len(cols) == n:
         return tuple(cols)
-    # starts[k]: the columns of `allowed` that begin a chain of k + 1 columns.
-    starts = [allowed]
-    while len(starts) < n:
-        # A chain of n columns keeps n - k of them in starts[k].
-        if allowed.bit_count() < n - len(starts) + 1:
-            return None
-        prev, allowed, rest = allowed, 0, allowed
-        while rest:
-            low = rest & -rest
-            if rel[low.bit_length() - 1] & prev:
-                allowed |= low
-            rest ^= low
-        starts.append(allowed)
-    if not allowed:
+    if allowed.bit_count() < n:
         return None
+    starts = chain_starts(rel, allowed, n, bits)
+    if not starts[n]:
+        return None
+    # Each pick is the smallest successor of the last that starts a chain
+    # of the columns still to pick.
     cols, pick = [], -1
-    for layer in reversed(starts):
+    for layer in reversed(starts[1:]):
         pick &= layer
         cols.append((pick & -pick).bit_length() - 1)
         pick = rel[cols[-1]]
@@ -461,21 +442,19 @@ def chain_search(m: Matrix, n: int, kind: str):
         return None
     entries, rows, size = m.entries, m.rows, m.cols
     full = (1 << size) - 1
+    bits = [1 << i for i in range(size)]
 
     def extend(node, r):
         chosen, up, down, inc, dec = node
-        r_up, r_down = _row_masks(entries[r])
+        keys, at_least, at_most, ranks = order_table(entries[r], bits)
+        if len(keys) > 1:  # a constant row has every column above and below the others
+            up = [u & at_least[k] for u, k in zip(up, ranks)]
+            down = [u & at_most[k] for u, k in zip(down, ranks)]
         if chosen and kind == MONOTONE:
-            row, prev = entries[r], entries[chosen[-1]]
-            inc &= sum(1 << i for i in range(size) if row[i] >= prev[i])
-            dec &= sum(1 << i for i in range(size) if row[i] <= prev[i])
-        return (
-            chosen + (r,),
-            [a & b for a, b in zip(up, r_up)],
-            [a & b for a, b in zip(down, r_down)],
-            inc,
-            dec,
-        )
+            prev, row = entries[chosen[-1]], entries[r]
+            inc &= sum(compress(bits, map(le, prev, row)))
+            dec &= sum(compress(bits, map(ge, prev, row)))
+        return chosen + (r,), up, down, inc, dec
 
     later = [full ^ ((2 << i) - 1) for i in range(size)]
     # Each entry is a node and the next row to try below it. A node goes back
@@ -491,7 +470,7 @@ def chain_search(m: Matrix, n: int, kind: str):
             cols
             for mask in {inc, dec}
             for rel in (up, down)
-            if (cols := _first_chain(rel, mask, n))
+            if (cols := _first_chain(rel, mask, n, bits))
         )
         first = next(chains, None)
         if first is None:

@@ -1,9 +1,14 @@
-"""Independent brute-force searchers used as ground truth for everything else.
+"""Brute-force searchers used as ground truth for everything else.
 
 Enumeration is lexicographic over index subsets (rows outer, columns inner),
 so "first witness" is canonical and runs are reproducible. Exceeding a budget
 raises instead of returning absent: "not found" is never conflated with "does
 not exist".
+
+The search shares matrix.order_table and matrix.chain_starts with
+extraction.chain_search, the exhaustive fallback of the pipelines; the two
+enumerations stay apart, and the tests check both against a plain loop over
+all subset pairs that shares neither.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate, combinations, compress, repeat
+from itertools import combinations, compress
 from math import comb
 from operator import and_, ge, getitem, le, or_
 
@@ -23,6 +28,8 @@ from .matrix import (
     ROW_MONOTONE,
     Matrix,
     SubmatrixWitness,
+    chain_starts,
+    order_table,
 )
 
 _BLOCK = 64  # columns per order table and per mask
@@ -42,30 +49,10 @@ class SearchBudget:
             raise ValueError("budgets must be positive")
 
 
-def _order_table(values) -> tuple:
-    """(keys, at_least, at_most, ranks) of one row's block of values.
-
-    keys are the distinct values in increasing order and ranks[i] is the
-    index in keys of the i-th value. Bit i of at_least[k] (of at_most[k]) is
-    set when the i-th value is >= keys[k] (<= keys[k]); at_least ends in 0.
-    So the columns weakly above a value v are at_least[bisect_left(keys, v)]
-    and those strictly above it are at_least[bisect_right(keys, v)].
-    """
-    marks: dict = {}
-    for bit, v in zip(_BITS, values):
-        marks[v] = marks.get(v, 0) | bit
-    keys = sorted(marks)
-    bits = [marks[v] for v in keys]
-    at_least = list(accumulate(reversed(bits), or_, initial=0))
-    at_least.reverse()
-    rank = dict(zip(keys, range(len(keys))))
-    return keys, at_least, list(accumulate(bits, or_)), bytes(map(rank.__getitem__, values))
-
-
-def _block(m: Matrix, rows, tables: dict, shared: list, b: int, kind: str) -> tuple:
+def _block(m: Matrix, rows, tables: list, shared: list, b: int, kind: str) -> tuple:
     """Block b of the chosen rows: (keys, at_least, up, down, inc, dec, chains).
 
-    keys and at_least hold each row's lists, to bisect values of earlier
+    keys and at_least hold each row's sequences, to bisect values of earlier
     blocks. up[i] (down[i]) marks the later columns of the block weakly above
     (below) its i-th column in every row. inc (dec) marks its columns weakly
     increasing (decreasing) down the rows: every column and none for the row
@@ -74,9 +61,9 @@ def _block(m: Matrix, rows, tables: dict, shared: list, b: int, kind: str) -> tu
     before. Only in the last block does every chain end inside the block,
     so in the others chains lets every column through.
 
-    Order tables are kept in tables, per row and block, as they are first
-    read. shared[b] keeps up, down, inc and dec of the first n - 1 rows, so a
-    row subset that shares them with the one before adds only its last row.
+    Order tables are kept in tables[b][row] as they are first read.
+    shared[b] keeps up, down, inc and dec of the first n - 1 rows, so a row
+    subset that shares them with the one before adds only its last row.
     """
     n, lo, end = len(rows), b * _BLOCK, min(b * _BLOCK + _BLOCK, m.cols)
     start = n - 1
@@ -87,34 +74,23 @@ def _block(m: Matrix, rows, tables: dict, shared: list, b: int, kind: str) -> tu
     for i in range(start, n):
         if i == n - 1:
             shared[b] = up, down, inc, dec
-        table = tables.get((rows[i], b))
+        table = tables[b][rows[i]]
         if table is None:
-            table = tables[rows[i], b] = _order_table(m.entries[rows[i]][lo:end])
+            table = tables[b][rows[i]] = order_table(m.entries[rows[i]][lo:end], _BITS)
         keys, at_least, at_most, ranks = table
         if len(keys) > 1:  # a constant row has every column above and below the others
-            up = list(map(and_, up, map(at_least.__getitem__, ranks)))
-            down = list(map(and_, down, map(at_most.__getitem__, ranks)))
+            up = [u & at_least[k] for u, k in zip(up, ranks)]
+            down = [u & at_most[k] for u, k in zip(down, ranks)]
         if kind == MONOTONE and i:
             upper, lower = m.entries[rows[i - 1]][lo:end], m.entries[rows[i]][lo:end]
             inc &= sum(compress(_BITS, map(le, upper, lower)))
             dec &= sum(compress(_BITS, map(ge, upper, lower)))
-    keys, at_least = zip(*(tables[a, b][:2] for a in rows))
+    keys, at_least = zip(*(tables[b][a][:2] for a in rows))
     if end < m.cols:
         return keys, at_least, up, down, inc, dec, [(-1, -1)] * (n + 1)
-    chains = zip(_chain_starts(up, inc | dec, n), _chain_starts(down, inc | dec, n))
+    cols = inc | dec
+    chains = zip(chain_starts(up, cols, n, _BITS), chain_starts(down, cols, n, _BITS))
     return keys, at_least, up, down, inc, dec, list(chains)
-
-
-def _chain_starts(later: list, cols: int, n: int) -> list:
-    """For t = 0..n, the mask of the columns of cols that start a chain of t
-    columns of cols, each in the later mask of the one before."""
-    ends = cols
-    out = [ends, ends]
-    for _ in range(n - 1):
-        if ends:
-            ends = cols & sum(compress(_BITS, map(and_, later, repeat(ends))))
-        out.append(ends)
-    return out
 
 
 def _first_witness(m: Matrix, n: int, budget: SearchBudget, kind: str):
@@ -135,10 +111,11 @@ def _first_witness(m: Matrix, n: int, budget: SearchBudget, kind: str):
 
     The columns weakly above the last pick in every chosen row are the AND
     of one mask per row, read from the row's order table of the block
-    (_order_table): by the pick's rank in its own block, by one bisect in
+    (order_table): by the pick's rank in its own block, by one bisect in
     later blocks. Below likewise; the full kind also ANDs one mask per pair
-    of adjacent rows. Tables are built as the search first reaches a block,
-    so memory stays linear in the columns read.
+    of adjacent rows. Tables are built as the search first reaches a block
+    (their slots, one per row and block, up front), so memory stays linear
+    in the columns read.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -148,7 +125,7 @@ def _first_witness(m: Matrix, n: int, budget: SearchBudget, kind: str):
     # Counting only matters when the column subsets outnumber the budget.
     cap = budget.max_col_subsets if comb(width, n) > budget.max_col_subsets else 0
     n_blocks = -(-width // _BLOCK)
-    tables: dict = {}
+    tables = [[None] * m.rows for _ in range(n_blocks)]
     last = width - n  # a pick at depth k takes a column up to last + k
     shared_rows = None
     for count, rows in enumerate(combinations(range(m.rows), n), 1):

@@ -43,8 +43,9 @@ from monomat.matrix import (
     sign_diff,
     submatrix,
 )
-from monomat.oracle import brute_force_monotone, brute_force_row_monotone
+from monomat.oracle import SearchBudget, brute_force_monotone, brute_force_row_monotone
 from monomat.trees import LabeledBinaryTree, is_perfect_leafset
+from reference import plain_first_witness
 
 FIGURE_VECTORS = [
     (3, 6, 3),
@@ -620,22 +621,40 @@ def test_row_descent_matches_lifted_vector_path():
 
 
 def test_chain_search_matches_both_oracles():
-    # tied values, d = 1, n = 1, and n past the rows or the columns all occur
+    # tied values, d = 1, n = 1, and n past the rows or the columns all occur.
+    # chain_search and the oracle share matrix.order_table and
+    # matrix.chain_starts, so the plain loop is the reference independent of both.
     rng = random.Random(67)
+    kinds = ((ROW_MONOTONE, brute_force_row_monotone), (MONOTONE, brute_force_monotone))
     outcomes = set()
     for _ in range(1500):
         d, cols, n = rng.randrange(1, 8), rng.randrange(1, 15), rng.randrange(1, 6)
         spread = rng.choice([1, 2, 3, 10, 1000])
         m = Matrix.from_rows([[rng.randrange(spread) for _ in range(cols)] for _ in range(d)])
-        for kind, brute in (
-            (ROW_MONOTONE, brute_force_row_monotone),
-            (MONOTONE, brute_force_monotone),
-        ):
+        for kind, brute in kinds:
             found = chain_search(m, n, kind)
-            assert found == brute(m, n)
+            assert found == brute(m, n) == plain_first_witness(m, n, SearchBudget(), kind)
             outcomes.add(found and (found.row_direction, found.col_direction))
     assert {None, (INCREASING, None), (DECREASING, None)} <= outcomes
     assert {(a, b) for a in (INCREASING, DECREASING) for b in (INCREASING, DECREASING)} <= outcomes
+    # Past one 64-column block, and past 255 distinct values in a row. Odd
+    # rows reverse the row above up to a cut, so witnesses fall late or not at all.
+    beyond = absent = 0
+    for _ in range(120):
+        n = rng.randint(1, 3)
+        d, cols = rng.randint(1, 5), rng.choice((rng.randint(65, 140), rng.randint(256, 320)))
+        rows = [[rng.randrange(10**6) for _ in range(cols)] for _ in range(d)]
+        cut = rng.choice((cols, rng.randint(0, cols)))
+        for a in range(1, d, 2):
+            rows[a][:cut] = [-v for v in rows[a - 1][:cut]]
+        m = Matrix.from_rows(rows)
+        assert max(len(set(row)) for row in rows) > 255 or cols < 256
+        for kind, brute in kinds:
+            found = chain_search(m, n, kind)
+            assert found == brute(m, n), (m, n, kind)
+            beyond += found is not None and found.cols[-1] >= 64
+            absent += found is None and d >= n
+    assert beyond > 20 and absent > 20
 
 
 def test_chain_search_hand_cases():

@@ -14,7 +14,6 @@ from monomat.extraction import (
     single_sign_levels,
 )
 from monomat.matrix import (
-    DECREASING,
     INCREASING,
     MONOTONE,
     ROW_MONOTONE,
@@ -31,7 +30,7 @@ from monomat.oracle import (
     brute_force_row_monotone,
     es_extremal_sequence,
 )
-from reference import brute_force_monochromatic
+from reference import brute_force_monochromatic, plain_first_witness
 
 
 def second_opinion_row_monotone(m, n):
@@ -51,56 +50,6 @@ def second_opinion_monotone(m, n):
             if is_monotone(submatrix(m, rows, cols)) is not None:
                 hits.append((rows, cols))
     return hits
-
-
-def _direction(lines, picks, steps):
-    """Weak direction shared by the picked lines along the steps, increasing preferred."""
-    increasing = True
-    decreasing = True
-    for a in picks:
-        line = lines[a]
-        prev = line[steps[0]]
-        for i in steps[1:]:
-            cur = line[i]
-            if cur < prev:
-                increasing = False
-            if cur > prev:
-                decreasing = False
-            if not increasing and not decreasing:
-                return None
-            prev = cur
-    return INCREASING if increasing else DECREASING
-
-
-def plain_first_witness(m, n, budget, kind):
-    """Reference: every row subset times every column subset, both lexicographic.
-
-    Each subset counts against its budget before it is tested, so a search
-    raises as soon as it would test subset number budget + 1.
-    """
-    if n > m.rows or n > m.cols:
-        return None
-    entries = m.entries
-    columns = m.transpose().entries if kind == MONOTONE else None
-    row_count = 0
-    for rows in combinations(range(m.rows), n):
-        row_count += 1
-        if row_count > budget.max_row_subsets:
-            raise BudgetExceededError(f"row-subset budget {budget.max_row_subsets} exhausted")
-        col_count = 0
-        for cols in combinations(range(m.cols), n):
-            col_count += 1
-            if col_count > budget.max_col_subsets:
-                raise BudgetExceededError(
-                    f"column-subset budget {budget.max_col_subsets} exhausted"
-                )
-            row_dir = _direction(entries, rows, cols)
-            if row_dir is None:
-                continue
-            col_dir = _direction(columns, cols, rows) if kind == MONOTONE else None
-            if kind == ROW_MONOTONE or col_dir is not None:
-                return SubmatrixWitness(rows, cols, kind, row_dir, col_dir)
-    return None
 
 
 def outcome(search, *args):
