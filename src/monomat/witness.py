@@ -17,6 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from math import comb
+from operator import itemgetter
 from typing import ClassVar
 
 from .errors import (
@@ -226,29 +227,35 @@ class WitnessMatrix:
         """format_matrix's text of each dense row, one line at a time, t <= MAX_MATERIALIZE_T.
 
         Every entry is an even int in (-2^(t+1), 2^(t+1)), so the decimal text
-        of all 2^(t+1) - 1 of them is built once: slot u of the table holds
-        2u - 2^(t+1) + 2, and the entry v sits at slot 2^t - 1 + v/2. A row's
-        slots are the sums h + l of two index lists built by the doubling of
-        dense_rows() with steps s_i * 2^i, l over the low t//2 coordinates
-        (starting at slot 2^t - 1) and h over the rest (starting at 0); h
-        outermost is colex order. One row and the table are held. Building the
-        table costs about as much as formatting one or two rows with str(), so
-        a witness of d <= 3 rows is written more slowly than by formatting.
+        of all 2^(t+1) - 1 of them is built once, by splitting one %-format of
+        the 2^t values >= 0 and one " -".join of its reverse: slot u of the
+        table holds 2u - 2^(t+1) + 2. With m the bitmask of a row's negative
+        signs, the entry in 0-based colex column k is 2((k ^ m) - m), at slot
+        2^t - 1 - m + (k ^ m), so the row is one window of 2^t slots read in
+        the order k ^ m. Columns go in blocks of 2^L, L = max(t - 4, 1): the
+        high bits of k ^ m pick a block's slice of the window, and one
+        itemgetter per row reads every slice in the order of the low bits of
+        k ^ m. One row and the table are held.
         """
         if self.t > MAX_MATERIALIZE_T:
             raise MonomatError(
                 f"refusing to materialize 2^{self.t} columns (limit 2^{MAX_MATERIALIZE_T})"
             )
         t = self.t
-        pos = list(map(str, range(0, 2 << t, 2)))
-        text = ["-" + s for s in pos[:0:-1]] + pos
+        if t == 0:
+            yield from ["0\n"] * self.rows
+            return
+        size = 1 << max(t - 4, 1)
+        pos = ("%d " * (1 << t) % tuple(range(0, 2 << t, 2))).split()
+        text = ("-" + " -".join(pos[:0:-1])).split() + pos
         for signs in self.signs.entries:
-            low, high = [(1 << t) - 1], [0]
-            for i, sign in enumerate(signs):
-                slots = low if i < t // 2 else high
-                step = sign << i
-                slots += [u + step for u in slots]
-            yield " ".join([text[h + l] for h in high for l in low]) + "\n"
+            mask = sum(1 << i for i, sign in enumerate(signs) if sign < 0)
+            base = (1 << t) - 1 - mask
+            low = mask & (size - 1)
+            read = itemgetter(*[k ^ low for k in range(size)])
+            starts = [base + (k ^ (mask & -size)) for k in range(0, 1 << t, size)]
+            blocks = (read(text[s : s + size]) for s in starts)
+            yield " ".join(map(" ".join, blocks)) + "\n"
 
     def materialize(self) -> Matrix:
         """Dense form, all of dense_rows() held at once; entry() is the defining formula."""

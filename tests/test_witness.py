@@ -127,11 +127,19 @@ def test_materialize_limit():
 def test_streamed_rows_equal_the_materialized_matrix_text():
     rng = random.Random(11)
     shapes = [(d, t) for d in range(1, 7) for t in range(1, 11)] + [(16, 11), (16, 12)]
+    shapes += [(d, t) for d in (1, 2) for t in range(13, 17)]
     cases = [
         SignMatrix.from_rows([[1 - 2 * rng.getrandbits(1) for _ in range(t)] for _ in range(d)])
         for d, t in shapes
     ]
     cases += [SignMatrix.from_rows([[1] * 6, [-1] * 6]), SignMatrix.from_rows([[-1] * 9])]
+    # Negative-sign masks 0, all ones, 1010... and 0101...: dense_lines reads blocks of
+    # 2^max(t - 4, 1) columns, so at these t the low and high parts of an alternating mask differ.
+    for t in (2, 5, 7, 10, 13):
+        alternating = [(-1) ** i for i in range(t)]
+        rows = [[1] * t, [-1] * t, alternating, [-sign for sign in alternating]]
+        cases.append(SignMatrix.from_rows(rows))
+    cases.append(SignMatrix.from_rows([[]]))
     # Rows reaching both ends of the t = 12 table, -8190 and 8190.
     cases.append(SignMatrix.from_rows([[-1] * 12, [1] * 12]))
     for sm in cases:
@@ -143,6 +151,7 @@ def test_streamed_rows_equal_the_materialized_matrix_text():
             [w.entry(a, k) for k in range(1, w.cols + 1)] for a in range(w.rows)
         ]
     assert [line.split()[-1] for line in text.splitlines()[1:]] == ["-8190", "8190"]
+    assert list(build_witness(SignMatrix.from_rows([[]])).dense_lines()) == ["0\n"]
 
 
 def test_sample_sign_matrix_verified_and_deterministic():
