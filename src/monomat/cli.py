@@ -75,8 +75,10 @@ def _witness_payload(result: extraction.PipelineResult) -> dict:
 
 
 def _read_text(path: str) -> str:
+    """The file decoded as UTF-8, newlines as written: meaningful_lines splits CRLF and CR too."""
     try:
-        return Path(path).read_text()
+        with open(path, "rb") as file:
+            return file.read().decode()
     except OSError as exc:
         raise FormatError(0, f"cannot read {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
@@ -392,9 +394,14 @@ def int_list(text: str) -> tuple[int, ...]:
     return tuple(int(z) for z in text.split(",")) if text else ()
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by later calls in the process."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser and its subparsers by command name (its subparsers' choices)."""
     parser = argparse.ArgumentParser(
         prog="monomat",
         description="Find monotone submatrices, build lower-bound witnesses, verify both.",
@@ -454,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_orc)
     p_orc.set_defaults(func=cmd_oracle)
 
-    return parser
+    return parser, sub.choices
 
 
 # The exit-code contract: (exception type, stderr prefix, exit code); the
@@ -471,7 +478,17 @@ EXIT_TABLE = (
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser, commands = _parsers()
+    argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0] in commands:
+        # The top-level parser would hand every argument after the command to
+        # the command's parser and report what is left over; this skips its
+        # own scan of the argv.
+        args, extra = commands[argv[0]].parse_known_args(argv[1:])
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    else:
+        args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (MonomatError, OSError) as exc:

@@ -443,10 +443,18 @@ def chain_search(m: Matrix, n: int, kind: str):
     entries, rows, size = m.entries, m.rows, m.cols
     full = (1 << size) - 1
     bits = [1 << i for i in range(size)]
+    # A whole-row order table holds up to N^2/4 bytes of masks. Each row's is
+    # kept once built while all d of them fit in 64 MiB; past that, every node
+    # builds its new row's table again.
+    tables = [None] * rows if rows * size * size <= 1 << 28 else None
 
     def extend(node, r):
         chosen, up, down, inc, dec = node
-        keys, at_least, at_most, ranks = order_table(entries[r], bits)
+        if tables is None:
+            table = order_table(entries[r], bits)
+        elif (table := tables[r]) is None:
+            table = tables[r] = order_table(entries[r], bits)
+        keys, at_least, at_most, ranks = table
         if len(keys) > 1:  # a constant row has every column above and below the others
             up = [u & at_least[k] for u, k in zip(up, ranks)]
             down = [u & at_most[k] for u, k in zip(down, ranks)]

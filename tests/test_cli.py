@@ -3,6 +3,7 @@
 import io
 import json
 import random
+import sys
 import time
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from monomat import cli
 from monomat.cli import main
-from monomat.errors import InternalCheckError
+from monomat.errors import InternalCheckError, MonomatError
 from monomat.matrix import format_matrix, parse_matrix
 from monomat.witness import (
     build_witness,
@@ -71,6 +72,49 @@ def test_non_utf8_input_exit_2(command, tmp_path, capsys):
     assert run([command, path, "--n", 1]) == 2
     err = capsys.readouterr().err
     assert "line 3" in err and "Traceback" not in err
+    # Past the first 8 KiB, as past any read buffer, the byte still names its own line.
+    padding = b"# padding to push the bad byte past 8 KiB\n" * 300
+    path.write_bytes(padding + b"2 2\n1 2\n3 \xe9\n")
+    assert len(padding) > 8192
+    assert run([command, path, "--n", 1]) == 2
+    err = capsys.readouterr().err
+    assert "line 303" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+def test_newline_style_does_not_change_output(newline, tmp_path, monkeypatch, capsys):
+    # Each copy keeps the LF file's name in its own directory, because oracle
+    # and verify print the input path.
+    lf, other = tmp_path / "lf", tmp_path / "other"
+    lf.mkdir()
+    other.mkdir()
+    monkeypatch.chdir(lf)
+    with redirect_stdout(io.StringIO()):
+        assert run(["witness", "--d", 6, "--t", 5, "--n", 3, "--s", 2, "--seed", 1,
+                    "--output-prefix", "w"]) == 0
+    rng = random.Random(5)
+    rows = [" ".join(str(rng.randrange(4)) for _ in range(6)) for _ in range(5)]
+    (lf / "m.txt").write_text("# ties\n\n5 6\n" + "\n".join(rows) + "\n")
+    (lf / "bad.txt").write_text("# comment\n2 2\n\n1 2\n3 oops\n")
+    names = ("m.txt", "w.witness", "w.signs", "bad.txt")
+    for name in names:
+        (other / name).write_bytes((lf / name).read_bytes().replace(b"\n", newline))
+    argvs = [
+        [command, name, "--n", n, *extra]
+        for name in names
+        for n in ("2", "3")
+        for command, extra in (
+            ("find", ["--kind", "row"]), ("find", ["--kind", "full"]),
+            ("oracle", []), ("verify", []),
+        )
+    ]
+    for argv in argvs:
+        outcomes = []
+        for folder in (lf, other):
+            monkeypatch.chdir(folder)
+            code = main(argv)
+            outcomes.append((code, *capsys.readouterr()))
+        assert outcomes[0] == outcomes[1], argv
 
 
 def test_find_output_to_a_directory_exit_2(inc_matrix, tmp_path, capsys):
@@ -825,15 +869,45 @@ def cli_argv(draw, out_dir, inputs):
     return argv
 
 
+def reference_main(argv) -> int:
+    """main with the top-level parser parsing every argv, the reference for its dispatch."""
+    args = cli.build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except (MonomatError, OSError) as exc:
+        prefix, code = next((p, c) for kind, p, c in cli.EXIT_TABLE if isinstance(exc, kind))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
+
+
+def outcome(entry, argv) -> tuple:
+    """(exit code, stdout, stderr) of one call of entry(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = entry(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["bogus"], ["--format", "json", "find", "f"],
+    ["find", "-h"], ["find", "f", "--n", "3", "--bogus"], ["find", "f", "--n", "3", "extra"],
+    ["find", "f", "--form", "json", "--n", "3"], ["find", "--n", "3", "--", "f"],
+], ids=lambda argv: " ".join(argv) or "no arguments")
+def test_dispatch_matches_the_top_level_parser(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "f").write_text(INCREASING_4X4)
+    assert outcome(main, argv) == outcome(reference_main, argv)
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_fuzzed_argv_stays_in_exit_code_contract(data, fuzz_inputs):
     argv = data.draw(cli_argv(*fuzz_inputs), label="argv")
-    err = io.StringIO()
-    with redirect_stdout(io.StringIO()), redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
+    code, _, err = got = outcome(main, argv)
     assert code in (0, 2, 3, 4, 5, 6), argv
-    assert "Traceback" not in err.getvalue(), argv
+    assert "Traceback" not in err, argv
+    # Sending argv straight to the command's parser changes no output.
+    assert got == outcome(reference_main, argv), argv
