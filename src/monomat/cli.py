@@ -12,9 +12,12 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
+import os
 import random
+import stat
 import sys
 from pathlib import Path
 
@@ -86,13 +89,39 @@ def _read_text(path: str) -> str:
         raise FormatError(line, f"{path} is not {exc.encoding} text") from None
 
 
+def _write_lines(path: Path, lines) -> None:
+    """Write text lines to path as open(path, "w") does, but replace a plain file, not truncate.
+
+    Truncating a file written moments ago can stall for tens of milliseconds
+    (ext4 mounted with discard); creating it anew does not. So an existing
+    regular file with one link that the caller may write is unlinked and
+    created again with its permission bits. A missing path, a symlink, a
+    hard-linked or special file, a refused unlink or a lost O_EXCL race is
+    written through open(path, "w"), with that call's errors.
+    """
+    out = None
+    try:
+        old = os.lstat(path)
+        if stat.S_ISREG(old.st_mode) and old.st_nlink == 1 and os.access(path, os.W_OK):
+            os.unlink(path)
+            mode = old.st_mode & 0o777
+            out = open(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, mode), "w")
+            os.fchmod(out.fileno(), mode)  # os.open's mode passed through the umask
+    except OSError:
+        pass
+    if out is None:
+        out = open(path, "w")
+    with out:
+        out.writelines(lines)
+
+
 def cmd_find(args) -> int:
     m = parse_matrix(_read_text(args.input))
     finder = extraction.find_row_monotone if args.kind == "row" else extraction.find_monotone
     result = finder(m, args.n, mode=args.mode, fallback_budget=args.budget)
     payload = _witness_payload(result)
     if args.output:  # written first, so a failed write prints no payload
-        Path(args.output).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _write_lines(Path(args.output), [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
     _emit(payload, args.format)
     return EXIT_OK if result.met_target else EXIT_SHORTFALL
 
@@ -108,14 +137,12 @@ def cmd_witness(args) -> int:
 
     sign_path = Path(f"{args.output_prefix}.signs")
     witness_path = Path(f"{args.output_prefix}.witness")
-    sign_path.write_text(witness_mod.format_sign_file(sm, args.seed))
-    witness_path.write_text(witness_mod.format_witness_file(w, args.seed))
+    _write_lines(sign_path, [witness_mod.format_sign_file(sm, args.seed)])
+    _write_lines(witness_path, [witness_mod.format_witness_file(w, args.seed)])
     written = [str(sign_path), str(witness_path)]
     if args.materialize:
         matrix_path = Path(f"{args.output_prefix}.matrix")
-        with matrix_path.open("w") as out:
-            out.write(f"{w.rows} {w.cols}\n")
-            out.writelines(w.dense_lines())
+        _write_lines(matrix_path, itertools.chain([f"{w.rows} {w.cols}\n"], w.dense_lines()))
         written.append(str(matrix_path))
 
     payload = {

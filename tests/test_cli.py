@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import random
 import sys
 import time
@@ -119,9 +120,8 @@ def test_newline_style_does_not_change_output(newline, tmp_path, monkeypatch, ca
 
 def test_find_output_to_a_directory_exit_2(inc_matrix, tmp_path, capsys):
     assert run(["find", inc_matrix, "--n", 2, "--output", tmp_path]) == 2
-    captured = capsys.readouterr()
-    assert "input error" in captured.err and "Traceback" not in captured.err
-    assert captured.out == ""  # the failed write comes before any payload
+    # The failed write comes before any payload, and open(path, "w") names the error.
+    assert capsys.readouterr() == ("", f"input error: [Errno 21] Is a directory: '{tmp_path}'\n")
 
 
 def test_find_malformed_input_names_line(tmp_path, capsys):
@@ -197,6 +197,86 @@ def test_witness_materialize_streams_rows(tmp_path, capsys):
     assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MB"
     with (tmp_path / "w.matrix").open() as f:
         assert next(f) == "16 16384\n" and sum(1 for _ in f) == 16
+
+
+WITNESS_6X32 = ["witness", "--d", 6, "--t", 5, "--n", 3, "--s", 2, "--seed", 9, "--materialize"]
+SUFFIXES = (".signs", ".witness", ".matrix")
+
+
+def _fresh_witness_files(tmp_path, monkeypatch, capsys):
+    """Stdout and file bytes of WITNESS_6X32 on prefix w in a folder of its own."""
+    folder = tmp_path / "fresh"
+    folder.mkdir()
+    monkeypatch.chdir(folder)
+    assert run([*WITNESS_6X32, "--output-prefix", "w"]) == 0
+    monkeypatch.chdir(tmp_path)
+    return capsys.readouterr().out, {s: (folder / f"w{s}").read_bytes() for s in SUFFIXES}
+
+
+def test_witness_rewrite_is_byte_identical_on_a_new_inode(tmp_path, monkeypatch, capsys):
+    out, files = _fresh_witness_files(tmp_path, monkeypatch, capsys)
+    assert run([*WITNESS_6X32, "--output-prefix", "w"]) == 0
+    with open("w.matrix", "rb") as old:  # held open, so its inode number is not reused
+        assert run([*WITNESS_6X32, "--output-prefix", "w"]) == 0
+        assert os.fstat(old.fileno()).st_nlink == 0 and old.read() == files[".matrix"]
+    assert capsys.readouterr().out == out * 2
+    assert {s: (tmp_path / f"w{s}").read_bytes() for s in SUFFIXES} == files
+
+
+def test_witness_writes_through_symlinks(tmp_path, monkeypatch, capsys):
+    _, files = _fresh_witness_files(tmp_path, monkeypatch, capsys)
+    (tmp_path / "real.matrix").write_text("old\n")
+    os.symlink("real.matrix", "w.matrix")
+    os.symlink("made.witness", "w.witness")  # dangling: open("w") creates its target
+    assert run([*WITNESS_6X32, "--output-prefix", "w"]) == 0
+    capsys.readouterr()
+    assert os.path.islink("w.matrix") and os.path.islink("w.witness")
+    assert (tmp_path / "real.matrix").read_bytes() == files[".matrix"]
+    assert (tmp_path / "made.witness").read_bytes() == files[".witness"]
+
+
+def test_witness_writes_through_hard_links(tmp_path, monkeypatch, capsys):
+    _, files = _fresh_witness_files(tmp_path, monkeypatch, capsys)
+    (tmp_path / "copy.signs").write_text("old\n")
+    os.link("copy.signs", "w.signs")
+    assert run([*WITNESS_6X32, "--output-prefix", "w"]) == 0
+    capsys.readouterr()
+    assert os.path.samefile("w.signs", "copy.signs")
+    assert (tmp_path / "copy.signs").read_bytes() == files[".signs"]
+
+
+@pytest.mark.parametrize("mode", [0o600, 0o664], ids=oct)
+def test_rewritten_output_keeps_its_permission_bits(mode, inc_matrix, tmp_path, capsys):
+    out = tmp_path / "w.json"
+    out.write_text("old\n")
+    out.chmod(mode)
+    umask = os.umask(0o022)  # would take the group's write bit from a new file
+    try:
+        assert run(["find", inc_matrix, "--n", 2, "--output", out]) == 0
+    finally:
+        os.umask(umask)
+    capsys.readouterr()
+    assert out.stat().st_mode & 0o777 == mode
+    assert json.loads(out.read_text())["cols"] == [1, 2]
+
+
+def test_output_the_caller_may_not_write_is_not_unlinked(inc_matrix, tmp_path, monkeypatch, capsys):
+    # The suite may run as root, which writes past mode bits; so access is refused here.
+    out = tmp_path / "w.json"
+    out.write_text("old\n")
+    monkeypatch.setattr(os, "access", lambda *args, **kwargs: False)
+    with out.open() as old:
+        assert run(["find", inc_matrix, "--n", 2, "--output", out]) == 0
+        assert os.path.samestat(os.fstat(old.fileno()), out.stat())
+        assert json.loads(old.read())["cols"] == [1, 2]
+    capsys.readouterr()
+
+
+def test_witness_output_in_a_missing_folder_keeps_its_message(tmp_path, capsys):
+    prefix = tmp_path / "missing" / "x"
+    assert run(["witness", "--d", 1, "--t", 1, "--n", 2, "--s", 1, "--output-prefix", prefix]) == 2
+    err = f"input error: [Errno 2] No such file or directory: '{prefix}.signs'\n"
+    assert capsys.readouterr() == ("", err)
 
 
 def test_verify_pass_witness_exit_0(tmp_path, capsys):
