@@ -9,7 +9,6 @@ guarantee at desk scale.
 from .errors import MonomatError
 from .extraction import (
     PipelineResult,
-    best_tree_like,
     bipartite_split,
     find_monotone,
     find_row_monotone,
@@ -73,7 +72,6 @@ __all__ = [
     "SubmatrixWitness",
     "WitnessCheckReport",
     "WitnessMatrix",
-    "best_tree_like",
     "bipartite_split",
     "brute_force_monotone",
     "brute_force_row_monotone",

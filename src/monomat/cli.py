@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import os
@@ -41,11 +40,10 @@ EXIT_COUNTEREXAMPLE = 5
 EXIT_INTERNAL = 6
 
 
-def _emit(payload: dict, fmt: str, out=None):
+def _emit(payload: dict, fmt: str):
     """Print a payload as deterministic text or JSON; text omits the fields JSON writes as null."""
-    out = out or sys.stdout
     if fmt == "json":
-        out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         return
     for key in sorted(payload):
         value = payload[key]
@@ -55,7 +53,7 @@ def _emit(payload: dict, fmt: str, out=None):
             value = " ".join(str(v) for v in value)
         elif isinstance(value, dict):
             value = json.dumps(value, sort_keys=True)
-        out.write(f"{key}: {value}\n")
+        sys.stdout.write(f"{key}: {value}\n")
 
 
 def _witness_payload(result: extraction.PipelineResult) -> dict:
@@ -142,7 +140,7 @@ def cmd_witness(args) -> int:
     written = [str(sign_path), str(witness_path)]
     if args.materialize:
         matrix_path = Path(f"{args.output_prefix}.matrix")
-        _write_lines(matrix_path, itertools.chain([f"{w.rows} {w.cols}\n"], w.dense_lines()))
+        _write_lines(matrix_path, w.dense_lines())
         written.append(str(matrix_path))
 
     payload = {

@@ -99,10 +99,10 @@ def _split_positions(coords, positions, strict: bool):
     element of the second, and the sign of (second - first) is the returned
     vector on every coordinate. A tie at a coordinate's median sends its
     earliest positions to the low half, which orders equal values by position
-    exactly as a (value, position) lift would; with strict set, any tie
-    raises TiedCoordinateError instead. Sizes shrink by at most half per
-    coordinate, so both groups keep at least ceil(len/2^(d+1)) elements
-    whenever 2^(d+1) divides len.
+    exactly as a (value, position) lift would; with strict set, a tie among
+    the group's values raises TiedCoordinateError instead. Sizes shrink by
+    at most half per coordinate, so both groups keep at least
+    ceil(len/2^(d+1)) elements whenever 2^(d+1) divides len.
     """
     if len(positions) < 2:
         raise TooShortError(f"cannot split a group of {len(positions)}")
@@ -113,14 +113,10 @@ def _split_positions(coords, positions, strict: bool):
     for a, col in enumerate(coords):
         group = first + second
         values = [col[p] for p in group]
+        if strict and len(set(values)) < len(values):
+            raise TiedCoordinateError(a)
         k = len(first)
-        if strict:
-            values.sort()
-            if any(x == y for x, y in zip(values, values[1:])):
-                raise TiedCoordinateError(a)
-            cut, below = values[k], k
-        else:
-            cut, below = _rank_cut(values, k)
+        cut, below = _rank_cut(values, k)
         last = -1  # the latest position valued at the cut that still goes low
         if below < k:
             last = [p for p in group if col[p] == cut][k - below - 1]
@@ -192,11 +188,6 @@ def tree_like_subsequence(m: Matrix, height: int | None):
         raise ValueError("height must be non-negative")
     tree, reps = _descend_tree_like(m.entries, m.cols, height, strict=True)
     return tree, tuple(reps)
-
-
-def best_tree_like(m: Matrix):
-    """Tree-like column subsequence of the largest height the construction reaches."""
-    return tree_like_subsequence(m, None)
 
 
 def is_binary_tree_like(m: Matrix):
@@ -591,10 +582,9 @@ def _row_stages(m: Matrix, n: int, fallback_budget: int, stages: list):
     depth_labels = list(reversed(round_labels))
     # Built row by row, so zero layers still give m.rows rows of no column.
     grid = SignMatrix(tuple(tuple(label[a] for label in depth_labels) for a in range(m.rows)))
-    for k in range(n, 0, -1):
+    # Past d rows or 2^layers a block of k rows and ceil(log2 k) layers cannot exist.
+    for k in range(min(n, m.rows, 1 << layers), 0, -1):
         s_k = ceil_log2(k)
-        if k > m.rows or s_k > layers:
-            continue
         block = monochromatic_submatrix(grid, k, s_k)
         if block is None:
             continue

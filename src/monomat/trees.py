@@ -35,10 +35,7 @@ def leaf_ancestor(m: int, a: int, b: int) -> Vertex:
     """
     _check_leaf(m, a)
     _check_leaf(m, b)
-    if a == b:
-        return m, a
-    depth = m - ((a - 1) ^ (b - 1)).bit_length()
-    return depth, ((a - 1) >> (m - depth)) + 1
+    return vertex_ancestor(m, (m, a), (m, b))
 
 
 def common_ancestor(m: int, leaves) -> Vertex:

@@ -134,14 +134,6 @@ def format_witness_file(w: WitnessMatrix, seed: int) -> str:
     return f"{WITNESS_HEADER}{w.t}\n" + format_sign_file(w.signs, seed)
 
 
-def parse_witness_file(text: str) -> WitnessMatrix:
-    """Parse a .witness file: the 'witness t=<t>' header, then the sign-matrix format."""
-    lineno, header = next(meaningful_lines(text), (1, ""))
-    if not header.startswith(WITNESS_HEADER):
-        raise FormatError(lineno, "expected header 'witness t=<t>'")
-    return parse_witness_or_signs(text)
-
-
 def parse_witness_or_signs(text: str) -> WitnessMatrix | None:
     """The witness a .witness or sign file defines, or None for a numeric matrix file.
 
@@ -204,27 +196,15 @@ class WitnessMatrix:
     def column(self, k: int) -> tuple[int, ...]:
         return tuple(self.entry(a, k) for a in range(self.rows))
 
-    def dense_rows(self):
-        """The dense form's rows one at a time, each a tuple of 2^t ints, t <= MAX_MATERIALIZE_T.
-
-        A row is built in colex order, O(2^t): columns 2^i + 1..2^(i+1)
-        repeat columns 1..2^i shifted by 2^(i+1) * s_i. Only the row being
-        yielded is held, so a caller that writes each row out never holds
-        the d x 2^t matrix.
-        """
+    def _refuse_past_cap(self):
+        """Both dense forms hold 2^t columns per row, so they stop at t = MAX_MATERIALIZE_T."""
         if self.t > MAX_MATERIALIZE_T:
             raise MonomatError(
                 f"refusing to materialize 2^{self.t} columns (limit 2^{MAX_MATERIALIZE_T})"
             )
-        for signs in self.signs.entries:
-            row = [0]
-            for i, sign in enumerate(signs):
-                step = (2 << i) * sign
-                row += [v + step for v in row]
-            yield tuple(row)
 
     def dense_lines(self):
-        """format_matrix's text of each dense row, one line at a time, t <= MAX_MATERIALIZE_T.
+        """format_matrix's text of the dense form one line at a time: 'd N', then each row.
 
         Every entry is an even int in (-2^(t+1), 2^(t+1)), so the decimal text
         of all 2^(t+1) - 1 of them is built once, by splitting one %-format of
@@ -237,11 +217,9 @@ class WitnessMatrix:
         itemgetter per row reads every slice in the order of the low bits of
         k ^ m. One row and the table are held.
         """
-        if self.t > MAX_MATERIALIZE_T:
-            raise MonomatError(
-                f"refusing to materialize 2^{self.t} columns (limit 2^{MAX_MATERIALIZE_T})"
-            )
+        self._refuse_past_cap()
         t = self.t
+        yield f"{self.rows} {self.cols}\n"
         if t == 0:
             yield from ["0\n"] * self.rows
             return
@@ -258,8 +236,20 @@ class WitnessMatrix:
             yield " ".join(map(" ".join, blocks)) + "\n"
 
     def materialize(self) -> Matrix:
-        """Dense form, all of dense_rows() held at once; entry() is the defining formula."""
-        return Matrix(tuple(self.dense_rows()))
+        """Dense form, the whole d x 2^t matrix; entry() is the defining formula.
+
+        A row is built in colex order, O(2^t): columns 2^i + 1..2^(i+1)
+        repeat columns 1..2^i shifted by 2^(i+1) * s_i.
+        """
+        self._refuse_past_cap()
+        rows = []
+        for signs in self.signs.entries:
+            row = [0]
+            for i, sign in enumerate(signs):
+                step = (2 << i) * sign
+                row += [v + step for v in row]
+            rows.append(tuple(row))
+        return Matrix(tuple(rows))
 
 
 def build_witness(sm: SignMatrix) -> WitnessMatrix:

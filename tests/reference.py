@@ -121,3 +121,36 @@ def plain_first_witness(m, n, budget, kind):
             if kind == ROW_MONOTONE or col_dir is not None:
                 return SubmatrixWitness(rows, cols, kind, row_dir, col_dir)
     return None
+
+
+def split_by_sort(coords, positions):
+    """One round of the bipartite split on tie-free values, each coordinate cut by a full sort.
+
+    Returns (sign, first, second) as the package's split does: the group's
+    halves shrink per coordinate to the side of the median cut each keeps.
+    """
+    half = len(positions) // 2
+    first, second = positions[:half], positions[len(positions) - half :]
+    signs = []
+    for col in coords:
+        cut = sorted(col[p] for p in first + second)[len(first)]
+        first_low = [p for p in first if col[p] < cut]
+        if 2 * len(first_low) >= len(first):
+            first, second = first_low, [p for p in second if col[p] >= cut]
+            signs.append(1)
+        else:
+            first = [p for p in first if col[p] >= cut]
+            second = [p for p in second if col[p] < cut]
+            signs.append(-1)
+    return tuple(signs), first, second
+
+
+def deepest_tree_like_by_sort(m):
+    """(labels, representative columns) of the deepest tree-like descent by split_by_sort."""
+    groups, labels, height = [list(range(m.cols))], {}, 0
+    while all(len(group) >= 2 for group in groups):
+        splits = [split_by_sort(m.entries, group) for group in groups]
+        labels.update(((height, gi + 1), sign) for gi, (sign, _, _) in enumerate(splits))
+        groups = [half for _, first, second in splits for half in (first, second)]
+        height += 1
+    return labels, tuple(group[0] for group in groups)

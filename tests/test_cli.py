@@ -20,7 +20,6 @@ from monomat.errors import InternalCheckError, MonomatError
 from monomat.matrix import format_matrix, parse_matrix
 from monomat.witness import (
     build_witness,
-    parse_witness_file,
     parse_witness_or_signs,
     sample_sign_matrix,
 )
@@ -59,6 +58,18 @@ def test_find_shortfall_exit_code(tmp_path, capsys):
     assert run(["find", path, "--n", 2]) == 3
     out = capsys.readouterr().out
     assert "bottleneck" in out
+
+
+@pytest.mark.parametrize("kind", ["row", "full"])
+def test_find_huge_n_settles_at_once(kind, tmp_path, capsys):
+    # The block search starts at the largest size the matrix can hold, not at n.
+    path = tmp_path / "m.txt"
+    path.write_text("3 4\n1 3 2 4\n4 2 3 1\n2 2 1 3\n")
+    start = time.perf_counter()
+    assert run(["find", path, "--n", 10**9, "--kind", kind, "--format", "json"]) == 3
+    assert time.perf_counter() - start < 5
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["target"], payload["bottleneck"]) == (10**9, "matrix size")
 
 
 def test_find_missing_file_exit_2(capsys):
@@ -155,7 +166,7 @@ def test_witness_command_end_to_end(tmp_path, capsys):
 
     # artifacts parse back to the same objects
     sm = sample_sign_matrix(6, 5, 3, 2, seed=1)
-    w = parse_witness_file((tmp_path / "w.witness").read_text())
+    w = parse_witness_or_signs((tmp_path / "w.witness").read_text())
     assert w.signs == sm
     dense = parse_matrix((tmp_path / "w.matrix").read_text())
     assert dense == build_witness(sm).materialize()
@@ -184,8 +195,10 @@ def test_witness_determinism_byte_identical(tmp_path, capsys):
 
 
 def test_witness_materialize_streams_rows(tmp_path, capsys):
-    # 16 x 2^14 values held whole as ints and text peak near 15 MB; one row is under 1 MB.
-    argv = ["witness", "--d", 16, "--t", 14, "--n", 8, "--s", 3,
+    # The 256 rows of text (5.5 MB) far outweigh the decimal table and one row
+    # (about 0.5 MB together). Traced peaks: 0.6 MB streamed, 5.8 MB with the
+    # lines gathered into a list before the write.
+    argv = ["witness", "--d", 256, "--t", 12, "--n", 128, "--s", 7,
             "--output-prefix", tmp_path / "w", "--materialize"]
     tracemalloc.start()
     try:
@@ -194,9 +207,9 @@ def test_witness_materialize_streams_rows(tmp_path, capsys):
     finally:
         tracemalloc.stop()
     capsys.readouterr()
-    assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MB"
+    assert peak < 2 * 2**20, f"peak {peak / 2**20:.1f} MB"
     with (tmp_path / "w.matrix").open() as f:
-        assert next(f) == "16 16384\n" and sum(1 for _ in f) == 16
+        assert next(f) == "256 4096\n" and sum(1 for _ in f) == 256
 
 
 WITNESS_6X32 = ["witness", "--d", 6, "--t", 5, "--n", 3, "--s", 2, "--seed", 9, "--materialize"]
@@ -516,7 +529,6 @@ def test_witness_files_read_back_to_the_sampled_sign_matrix(tmp_path, capsys):
         for sep in (" ", "", "\t"):  # spaced as written, compact, tab-separated
             rows = [line.replace(" ", sep) if line[0] in "+-" else line for line in lines]
             assert parse_witness_or_signs("\n".join(rows) + "\n").signs == sm
-    assert parse_witness_file((tmp_path / "w.witness").read_text()).signs == sm
 
 
 @pytest.mark.parametrize(

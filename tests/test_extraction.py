@@ -18,7 +18,6 @@ from monomat import extraction
 from monomat.extraction import (
     _descend_tree_like,
     _split_positions,
-    best_tree_like,
     chain_search,
     bipartite_split,
     find_monotone,
@@ -45,7 +44,7 @@ from monomat.matrix import (
 )
 from monomat.oracle import SearchBudget, brute_force_monotone, brute_force_row_monotone
 from monomat.trees import LabeledBinaryTree, is_perfect_leafset
-from reference import plain_first_witness
+from reference import deepest_tree_like_by_sort, plain_first_witness, split_by_sort
 
 FIGURE_VECTORS = [
     (3, 6, 3),
@@ -567,15 +566,25 @@ def test_pipeline_witnesses_always_validate():
             assert pred(sub) is not None
 
 
-def test_best_tree_like_matches_stepwise_construction():
+def test_deepest_tree_like_matches_stepwise_construction():
     rng = random.Random(59)
     m = distinct_columns(rng, 2, 200)
-    tree, cols = best_tree_like(m)
+    tree, cols = tree_like_subsequence(m, None)
     assert is_binary_tree_like(submatrix(m, range(m.rows), cols)) == tree
     # the same height must be reachable directly, and one more must fail
     assert tree_like_subsequence(m, tree.height) == (tree, cols)
     with pytest.raises(InsufficientLengthError):
         tree_like_subsequence(m, tree.height + 1)
+
+
+def test_split_ignores_ties_outside_the_group_it_cuts():
+    # Coordinate 0 keeps columns 0 and 3, so the tie between columns 1 and 2
+    # on coordinate 1 is never cut.
+    assert bipartite_split(columns([(1, 5), (4, 7), (2, 7), (3, 9)])) == ((1, 1), (0,), (3,))
+    # The middle column of an odd count joins neither half.
+    assert bipartite_split(columns([(1,), (1,), (2,)])) == ((1,), (0,), (2,))
+    tree, cols = tree_like_subsequence(columns([(1,), (1,), (2,)]), None)
+    assert (tree.height, cols) == (1, (0, 2))
 
 
 def test_vector_split_raises_on_any_tie():
@@ -614,7 +623,7 @@ def test_row_descent_matches_lifted_vector_path():
         spread = rng.choice([1, 2, 3, 5, 1000])
         m = Matrix.from_rows([[rng.randrange(spread) for _ in range(cols)] for _ in range(d)])
         tree, reps = _descend_tree_like(m.entries, m.cols, None, strict=False)
-        assert best_tree_like(lifted(m)) == (tree, tuple(reps))
+        assert tree_like_subsequence(lifted(m), None) == (tree, tuple(reps))
         target = rng.randrange(tree.height + 1)
         tree, reps = _descend_tree_like(m.entries, m.cols, target, strict=False)
         assert tree_like_subsequence(lifted(m), target) == (tree, tuple(reps))
@@ -750,9 +759,14 @@ def test_wide_split_matches_lifted_vector_path_by_selection_and_by_sort(monkeypa
         with monkeypatch.context() as patch:
             patch.setattr(extraction, "sorted", recording_sorted, raising=False)
             got = _split_positions(m.entries, list(range(cols)), strict=False)
-        sign, first, second = bipartite_split(lifted(m))
+        tie_free = lifted(m)
+        sign, first, second = bipartite_split(tie_free)
         assert got == (sign, list(first), list(second))
         ways["full sort" if cols in sorted_lengths else "selection"] += 1
+        # The tie-free vector API takes the same cut, so it must match a full sort.
+        assert got == split_by_sort(tie_free.entries, list(range(cols)))
+        tree, reps = tree_like_subsequence(tie_free, None)
+        assert (tree.labels, reps) == deepest_tree_like_by_sort(tie_free)
     assert all(ways.values()), ways
 
 

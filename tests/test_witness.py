@@ -26,7 +26,6 @@ from monomat.witness import (
     format_sign_matrix,
     is_sign_row,
     parse_sign_matrix,
-    parse_witness_file,
     parse_witness_or_signs,
     sample_sign_matrix,
     structural_counterexample,
@@ -118,10 +117,11 @@ def test_materialize_limit():
     from monomat.errors import MonomatError
 
     sm = SignMatrix.from_rows([[1] * 21])
-    with pytest.raises(MonomatError):
-        build_witness(sm).materialize()
-    with pytest.raises(MonomatError):
-        next(build_witness(sm).dense_lines())
+    # Both dense forms give the same refusal.
+    for dense in (build_witness(sm).materialize, lambda: next(build_witness(sm).dense_lines())):
+        with pytest.raises(MonomatError) as exc:
+            dense()
+        assert str(exc.value) == "refusing to materialize 2^21 columns (limit 2^20)"
 
 
 def test_streamed_rows_equal_the_materialized_matrix_text():
@@ -145,13 +145,22 @@ def test_streamed_rows_equal_the_materialized_matrix_text():
     for sm in cases:
         w = build_witness(sm)
         dense = w.materialize()
-        text = f"{w.rows} {w.cols}\n" + "".join(w.dense_lines())
+        text = "".join(w.dense_lines())
         assert text == format_matrix(dense)
         assert [list(row) for row in dense.entries] == [
             [w.entry(a, k) for k in range(1, w.cols + 1)] for a in range(w.rows)
         ]
     assert [line.split()[-1] for line in text.splitlines()[1:]] == ["-8190", "8190"]
-    assert list(build_witness(SignMatrix.from_rows([[]])).dense_lines()) == ["0\n"]
+    assert list(build_witness(SignMatrix.from_rows([[]])).dense_lines()) == ["1 1\n", "0\n"]
+
+
+def test_dense_lines_are_the_materialized_matrix_text():
+    rng = random.Random(23)
+    for d in (1, 2, 16):
+        for t in range(15):
+            rows = [[1 - 2 * rng.getrandbits(1) for _ in range(t)] for _ in range(d)]
+            w = build_witness(SignMatrix.from_rows(rows))
+            assert "".join(w.dense_lines()) == format_matrix(w.materialize())
 
 
 def test_sample_sign_matrix_verified_and_deterministic():
@@ -284,10 +293,9 @@ def test_sign_matrix_round_trip():
     ],
 )
 def test_witness_file_errors_name_the_files_own_line(text, line, message):
-    for parse in (parse_witness_file, parse_witness_or_signs):
-        with pytest.raises(FormatError) as exc:
-            parse(text)
-        assert (exc.value.line, str(exc.value)) == (line, f"line {line}: {message}")
+    with pytest.raises(FormatError) as exc:
+        parse_witness_or_signs(text)
+    assert (exc.value.line, str(exc.value)) == (line, f"line {line}: {message}")
 
 
 @pytest.mark.parametrize(
@@ -312,8 +320,6 @@ def test_reader_tells_numeric_matrices_from_sign_files():
     assert parse_witness_or_signs("1 2\n+ -1\n").signs == SignMatrix.from_rows([[1, -1]])
     with pytest.raises(FormatError, match="line 1: empty input file"):
         parse_witness_or_signs("# c\n\n")
-    with pytest.raises(FormatError, match="line 2: expected header 'witness t=<t>'"):
-        parse_witness_file("# c\n1 2\n+ -\n")
 
 
 def test_is_sign_row():
