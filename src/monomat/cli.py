@@ -175,6 +175,10 @@ def cmd_verify(args) -> int:
 
     payload: dict = {"input": args.input, "n": args.n, "checks": []}
 
+    def skip_oracle(reason: str):
+        print(f"oracle check skipped: {reason}", file=sys.stderr)
+        payload["oracle"] = "skipped"
+
     if w is None:
         if args.structural:
             raise MonomatError("the structural check needs a witness or sign file")
@@ -185,8 +189,7 @@ def cmd_verify(args) -> int:
             need = f"t <= {limit}" if w.t > limit else "d * 2^t <= 2^22 entries"
             if args.oracle:
                 raise MonomatError(f"oracle check needs {need} to materialize")
-            print(f"oracle check skipped: it needs {need} to materialize", file=sys.stderr)
-            payload["oracle"] = "skipped"
+            skip_oracle(f"it needs {need} to materialize")
             run_oracle = False
         if run_structural:
             report = witness_mod.verify_witness(w, args.n, max_col_subsets=args.budget)
@@ -207,18 +210,24 @@ def cmd_verify(args) -> int:
             m = w.materialize()
 
     if run_oracle:
-        found = oracle.brute_force_row_monotone(
-            m, args.n, oracle.SearchBudget(args.budget, args.budget)
-        )
-        payload["checks"].append("oracle")
-        payload["oracle"] = "absent" if found is None else "found"
-        if found is not None and "counterexample" not in payload:
-            payload["counterexample"] = {
-                "rows": [r + 1 for r in found.rows],
-                "cols": [c + 1 for c in found.cols],
-                "kind": found.kind,
-                "row_direction": found.row_direction,
-            }
+        try:
+            found = oracle.brute_force_row_monotone(
+                m, args.n, oracle.SearchBudget(args.budget, args.budget)
+            )
+        except BudgetExceededError as exc:
+            if args.oracle or w is None:  # the oracle is asked for or is the only check
+                raise
+            skip_oracle(f"search truncated: {exc}")
+        else:
+            payload["checks"].append("oracle")
+            payload["oracle"] = "absent" if found is None else "found"
+            if found is not None and "counterexample" not in payload:
+                payload["counterexample"] = {
+                    "rows": [r + 1 for r in found.rows],
+                    "cols": [c + 1 for c in found.cols],
+                    "kind": found.kind,
+                    "row_direction": found.row_direction,
+                }
     _emit(payload, args.format)
     return EXIT_COUNTEREXAMPLE if "counterexample" in payload else EXIT_OK
 

@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import compress
-from operator import ge, le
 
 from .errors import (
     BudgetExceededError,
@@ -35,14 +33,13 @@ from .matrix import (
     SignMatrix,
     SubmatrixWitness,
     ceil_log2,
-    chain_starts,
     is_monotone,
     is_row_monotone,
-    order_table,
     sign_diff,
     sign_str,
     submatrix,
 )
+from .oracle import chain_search
 from .trees import (
     LabeledBinaryTree,
     levels_leafset,
@@ -214,19 +211,18 @@ def is_binary_tree_like(m: Matrix):
 
 
 def _perfect_descent(tree: LabeledBinaryTree, max_height: int | None = None):
-    """Pair-and-group induction producing one perfect leaf set per height.
+    """Pair-and-group induction producing a perfect leaf set.
 
     Consecutive perfect subtrees are joined; the joined roots are grouped by
     (ambient depth, label) and the largest group survives, ties broken by the
-    lexicographically smallest (depth, label string). Returns (per-height
-    leaf sets, per-round chosen labels).
+    lexicographically smallest (depth, label string). Returns (the leaf set,
+    per-round chosen labels); the set's height is the number of rounds.
     """
     m = tree.height
     sets = [(leaf,) for leaf in range(1, (1 << m) + 1)]
     roots = [(m, leaf) for leaf in range(1, (1 << m) + 1)]
-    levels = [sets[0]]
     round_labels = []
-    while len(sets) >= 2 and (max_height is None or len(levels) <= max_height):
+    while len(sets) >= 2 and (max_height is None or len(round_labels) < max_height):
         joined = []
         for j in range(len(sets) // 2):
             q = vertex_ancestor(m, roots[2 * j], roots[2 * j + 1])
@@ -239,8 +235,7 @@ def _perfect_descent(tree: LabeledBinaryTree, max_height: int | None = None):
         sets = [sets[2 * j] + sets[2 * j + 1] for j in chosen]
         roots = [joined[j][0] for j in chosen]
         round_labels.append(best_key[1])
-        levels.append(sets[0])
-    return levels, round_labels
+    return sets[0], round_labels
 
 
 def perfect_leafset_extract(tree: LabeledBinaryTree, target: int):
@@ -251,10 +246,10 @@ def perfect_leafset_extract(tree: LabeledBinaryTree, target: int):
     """
     if target < 0:
         raise ValueError("target height must be non-negative")
-    levels, _ = _perfect_descent(tree, max_height=target)
-    if target >= len(levels):
-        raise InsufficientTreeError(achieved=len(levels) - 1, target=target)
-    return levels[target]
+    leaf_set, round_labels = _perfect_descent(tree, max_height=target)
+    if len(round_labels) < target:
+        raise InsufficientTreeError(achieved=len(round_labels), target=target)
+    return leaf_set
 
 
 def single_sign_levels(sm: SignMatrix, n: int, s: int, max_col_subsets: int | None = None):
@@ -388,110 +383,6 @@ class PipelineResult:
     bottleneck: str | None
 
 
-def _first_chain(rel, allowed: int, n: int, bits):
-    """The lexicographically smallest rel-chain of n columns inside `allowed`, or None."""
-    # The smallest column, then its smallest successor, and so on: when that
-    # reaches n columns, no chain of n columns comes before it.
-    cols, pick = [], allowed
-    while pick and len(cols) < n:
-        cols.append((pick & -pick).bit_length() - 1)
-        pick = rel[cols[-1]] & allowed
-    if len(cols) == n:
-        return tuple(cols)
-    if allowed.bit_count() < n:
-        return None
-    starts = chain_starts(rel, allowed, n, bits)
-    if not starts[n]:
-        return None
-    # Each pick is the smallest successor of the last that starts a chain
-    # of the columns still to pick.
-    cols, pick = [], -1
-    for layer in reversed(starts[1:]):
-        pick &= layer
-        cols.append((pick & -pick).bit_length() - 1)
-        pick = rel[cols[-1]]
-    return tuple(cols)
-
-
-def chain_search(m: Matrix, n: int, kind: str):
-    """First n x n witness of the kind in the oracle's order, or None.
-
-    Exact, and equal field for field to oracle.brute_force_row_monotone or
-    brute_force_monotone: row sets are visited depth first in lexicographic
-    order. A node keeps, per column, the later columns weakly above it in
-    every chosen row (up) and weakly below it (down); for MONOTONE also the
-    columns weakly increasing and weakly decreasing down the chosen rows. A
-    column set fits the chosen rows exactly when it is a chain of one
-    relation inside one allowed column mask. Adding a row only shrinks the
-    relations and the masks, so a node with no chain of n columns is pruned.
-    At n rows the lexicographically smallest chain wins, and ties in
-    direction go to increasing.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    if n > m.rows or n > m.cols:
-        return None
-    entries, rows, size = m.entries, m.rows, m.cols
-    full = (1 << size) - 1
-    bits = [1 << i for i in range(size)]
-    # A whole-row order table holds up to N^2/4 bytes of masks. Each row's is
-    # kept once built while all d of them fit in 64 MiB; past that, every node
-    # builds its new row's table again.
-    tables = [None] * rows if rows * size * size <= 1 << 28 else None
-
-    def extend(node, r):
-        chosen, up, down, inc, dec = node
-        if tables is None:
-            table = order_table(entries[r], bits)
-        elif (table := tables[r]) is None:
-            table = tables[r] = order_table(entries[r], bits)
-        keys, at_least, at_most, ranks = table
-        if len(keys) > 1:  # a constant row has every column above and below the others
-            up = [u & at_least[k] for u, k in zip(up, ranks)]
-            down = [u & at_most[k] for u, k in zip(down, ranks)]
-        if chosen and kind == MONOTONE:
-            prev, row = entries[chosen[-1]], entries[r]
-            inc &= sum(compress(bits, map(le, prev, row)))
-            dec &= sum(compress(bits, map(ge, prev, row)))
-        return chosen + (r,), up, down, inc, dec
-
-    later = [full ^ ((2 << i) - 1) for i in range(size)]
-    # Each entry is a node and the next row to try below it. A node goes back
-    # on the stack only while it has rows left to try, so the stack holds the
-    # nodes of the current path that still branch.
-    stack = [(((), later, later, full, full), 0)]
-    while stack:
-        node, r = stack.pop()
-        if r < rows - n + len(node[0]):
-            stack.append((node, r + 1))
-        chosen, up, down, inc, dec = node = extend(node, r)
-        chains = (
-            cols
-            for mask in {inc, dec}
-            for rel in (up, down)
-            if (cols := _first_chain(rel, mask, n, bits))
-        )
-        first = next(chains, None)
-        if first is None:
-            continue
-        if len(chosen) < n:
-            stack.append((node, r + 1))
-            continue
-        cols = min([first, *chains])
-        rising = all(up[a] >> b & 1 for a, b in zip(cols, cols[1:]))
-        col_direction = None
-        if kind == MONOTONE:
-            col_direction = INCREASING if all(inc >> c & 1 for c in cols) else DECREASING
-        return SubmatrixWitness(
-            rows=chosen,
-            cols=cols,
-            kind=kind,
-            row_direction=INCREASING if rising else DECREASING,
-            col_direction=col_direction,
-        )
-    return None
-
-
 def _fallback_search(m: Matrix, n: int, kind: str, budget: int, stages: list):
     """Exact chain search for an n x n witness when the whole space fits the budget.
 
@@ -565,8 +456,8 @@ def _row_stages(m: Matrix, n: int, fallback_budget: int, stages: list):
     tree, reps = _descend_tree_like(m.entries, m.cols, None, strict=False)
     stages.append(("tree_like_subsequence", f"height {tree.height}"))
 
-    levels, round_labels = _perfect_descent(tree)
-    layers = len(levels) - 1
+    leaf_pool, round_labels = _perfect_descent(tree)
+    layers = len(round_labels)
     stages.append(("perfect_leafset_extract", f"height {layers}"))
 
     s_target = ceil_log2(n)
@@ -590,7 +481,6 @@ def _row_stages(m: Matrix, n: int, fallback_budget: int, stages: list):
             continue
         row_set, depth_set, sign = block
         positions = levels_leafset(layers, depth_set)
-        leaf_pool = levels[layers]
         chosen_cols = tuple(sorted(reps[leaf_pool[q - 1] - 1] for q in positions))[:k]
         direction, color = (INCREASING, "red") if sign > 0 else (DECREASING, "blue")
         witness = SubmatrixWitness(

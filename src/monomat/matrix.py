@@ -8,12 +8,9 @@ from __future__ import annotations
 
 import json
 import sys
-from array import array
 from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
-from itertools import accumulate, compress, repeat
-from operator import and_, or_
 
 from .errors import (
     FormatError,
@@ -178,41 +175,6 @@ def is_monotone(m: Matrix):
     if col_dir is None:
         return None
     return row_dir, col_dir
-
-
-def order_table(values, bits) -> tuple:
-    """(keys, at_least, at_most, ranks) of a row of values, bits[i] marking the i-th.
-
-    keys are the distinct values in increasing order and ranks[i] is the
-    index in keys of the i-th value. at_least[k] (at_most[k]) is the OR of
-    the bits of the values >= keys[k] (<= keys[k]); at_least ends in 0. So
-    the values weakly above a value v are at_least[bisect_left(keys, v)] and
-    those strictly above it are at_least[bisect_right(keys, v)]. The oracle
-    passes the bits of a 64-column block, chain_search those of a whole row.
-    """
-    keys = sorted(set(values))
-    rank = dict(zip(keys, range(len(keys))))
-    # 4-byte ranks: a row would need 2^32 distinct values to overflow them.
-    ranks = array("I", map(rank.__getitem__, values))
-    masks = [0] * len(keys)
-    for bit, k in zip(bits, ranks):
-        masks[k] |= bit
-    # Tuples, unlike lists built from an iterator, hold no spare slots.
-    at_least = tuple(accumulate(reversed(masks), or_, initial=0))[::-1]
-    return keys, at_least, tuple(accumulate(masks, or_)), ranks
-
-
-def chain_starts(later: list, cols: int, n: int, bits) -> list:
-    """For t = 0..n, the mask of the columns of cols that start a chain of t
-    columns of cols, each in the later mask of the one before; bits[i] is
-    column i's bit, as in order_table."""
-    ends = cols
-    out = [ends, ends]
-    for _ in range(n - 1):
-        if ends:
-            ends = cols & sum(compress(bits, map(and_, later, repeat(ends))))
-        out.append(ends)
-    return out
 
 
 @dataclass(frozen=True)

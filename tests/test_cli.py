@@ -501,6 +501,40 @@ def test_verify_refuses_the_oracle_past_2_22_dense_entries(tmp_path, capsys):
     assert capsys.readouterr() == ("", f"error: oracle check needs {need}\n")
 
 
+def test_verify_keeps_the_structural_verdict_when_the_oracle_truncates(tmp_path, capsys):
+    # C(2^11, 2) column pairs pass the default budget, so the oracle truncates
+    # on the first row subset; the structural check is exact here.
+    prefix = tmp_path / "w"
+    argv = ["--d", 2, "--t", 11, "--n", 2, "--s", 1, "--seed", 211, "--output-prefix", prefix]
+    assert run(["witness", *argv, "--materialize"]) == 0
+    capsys.readouterr()
+    truncated = "search truncated: column-subset budget 1000000 exhausted\n"
+    assert run(["verify", f"{prefix}.signs", "--n", 2]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "oracle check skipped: " + truncated
+    assert "structural: PASS\n" in captured.out and "oracle: skipped\n" in captured.out
+    # The oracle asked for, or the only check of a numeric matrix: still exit 3.
+    for path, flags in ((f"{prefix}.signs", ["--oracle"]), (f"{prefix}.matrix", [])):
+        assert run(["verify", path, "--n", 2, *flags]) == 3
+        assert capsys.readouterr() == ("", truncated)
+
+
+def test_verify_reports_a_structural_fail_when_the_oracle_truncates(tmp_path, capsys):
+    # The rows agree only on the last sign, so the oracle's first witness is
+    # column pair (1, 1025), past a budget of 1000; the structural check FAILs.
+    path = tmp_path / "fail.signs"
+    path.write_text("2 11\n" + "+" * 11 + "\n" + "-" * 10 + "+\n")
+    assert run(["verify", path, "--n", 2, "--budget", 1000, "--format", "json"]) == 5
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert (payload["checks"], payload["structural"], payload["oracle"]) == (
+        ["structural"], "FAIL", "skipped")
+    assert payload["counterexample"]["cols"] == [1, 1025]
+    truncated = "search truncated: column-subset budget 1000 exhausted\n"
+    assert captured.err == "oracle check skipped: " + truncated
+    assert run(["verify", path, "--n", 2, "--budget", 1000, "--oracle"]) == 3
+
+
 @pytest.mark.parametrize(
     "text, err",
     [

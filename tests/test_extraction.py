@@ -18,7 +18,6 @@ from monomat import extraction
 from monomat.extraction import (
     _descend_tree_like,
     _split_positions,
-    chain_search,
     bipartite_split,
     find_monotone,
     find_row_monotone,
@@ -42,7 +41,12 @@ from monomat.matrix import (
     sign_diff,
     submatrix,
 )
-from monomat.oracle import SearchBudget, brute_force_monotone, brute_force_row_monotone
+from monomat.oracle import (
+    SearchBudget,
+    brute_force_monotone,
+    brute_force_row_monotone,
+    chain_search,
+)
 from monomat.trees import LabeledBinaryTree, is_perfect_leafset
 from reference import deepest_tree_like_by_sort, plain_first_witness, split_by_sort
 
@@ -197,8 +201,9 @@ def test_perfect_leafset_insufficient():
     # height-1 tree cannot host a perfect set of 4 leaves
     rng = random.Random(5)
     tree = random_labeled_tree(rng, 1, 1)
-    with pytest.raises(InsufficientTreeError):
+    with pytest.raises(InsufficientTreeError) as exc:
         perfect_leafset_extract(tree, 2)
+    assert (exc.value.achieved, exc.value.target) == (1, 2)
 
 
 def test_monochromatic_all_red():
@@ -631,8 +636,8 @@ def test_row_descent_matches_lifted_vector_path():
 
 def test_chain_search_matches_both_oracles():
     # tied values, d = 1, n = 1, and n past the rows or the columns all occur.
-    # chain_search and the oracle share matrix.order_table and
-    # matrix.chain_starts, so the plain loop is the reference independent of both.
+    # chain_search and the oracle share the oracle module's order_table,
+    # chain_starts and row step, so the plain loop is the reference independent of both.
     rng = random.Random(67)
     kinds = ((ROW_MONOTONE, brute_force_row_monotone), (MONOTONE, brute_force_monotone))
     outcomes = set()

@@ -131,6 +131,21 @@ def test_witness_validation():
         SubmatrixWitness(rows=(1, 0), cols=(0,), kind="row-monotone", row_direction=INCREASING)
 
 
+@pytest.mark.parametrize("rows, cols", [((0, 2), (0, 1)), ((0, 1), (1, 2)), ((-1, 0), (0, 1))])
+def test_witness_outside_the_matrix_is_invalid(rows, cols):
+    m = Matrix.from_rows([[1, 2], [3, 4]])
+    assert not SubmatrixWitness(rows, cols, "row-monotone", INCREASING).validate(m)
+
+
+def test_monotone_witness_needs_monotone_columns():
+    # Both rows increase, but column 0 falls down the rows while column 1 rises.
+    m = Matrix.from_rows([[1, 2], [0, 3]])
+    assert SubmatrixWitness((0, 1), (0, 1), "row-monotone", INCREASING).validate(m)
+    for col_direction in (INCREASING, DECREASING):
+        claim = SubmatrixWitness((0, 1), (0, 1), "monotone", INCREASING, col_direction)
+        assert not claim.validate(m)
+
+
 def test_parse_format_round_trip():
     text = "2 3\n1 2 3\n4 5/2 6\n"
     m = parse_matrix(text)

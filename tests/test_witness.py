@@ -15,7 +15,15 @@ from monomat.errors import (
     LengthMismatchError,
     RankOutOfRangeError,
 )
-from monomat.matrix import INCREASING, Matrix, format_matrix, sign_diff
+from monomat.matrix import (
+    DECREASING,
+    INCREASING,
+    ROW_MONOTONE,
+    Matrix,
+    SubmatrixWitness,
+    format_matrix,
+    sign_diff,
+)
 from monomat.oracle import SearchBudget, brute_force_row_monotone
 from monomat.witness import (
     SignMatrix,
@@ -224,6 +232,18 @@ def test_verify_witness_boundary_fail():
             assert all(x >= y for x, y in zip(run, run[1:]))
 
 
+def test_structural_counterexample_on_the_minus_side():
+    # Every sign is -1, so all three coordinates form the minus block and the
+    # 2^3 columns found fall along every row.
+    w = build_witness(SignMatrix.from_rows([[-1] * 3] * 4))
+    report = verify_witness(w, 2)
+    assert report.verdict == "FAIL"
+    rows, ranks, direction = structural_counterexample(w, report)
+    assert (direction, len(ranks)) == (DECREASING, 8)
+    cols = tuple(k - 1 for k in ranks)
+    assert SubmatrixWitness(tuple(rows), cols, ROW_MONOTONE, DECREASING).validate(w.materialize())
+
+
 def test_verify_witness_pass_for_sampled_matrix():
     # no n x s single-sign block with s = ceil(log2 n) forces |B| < log2 n
     sm = sample_sign_matrix(8, 6, 4, 2, seed=3)
@@ -277,6 +297,9 @@ def test_sign_matrix_round_trip():
         parse_sign_matrix("1 2\n+ x\n")
     with pytest.raises(FormatError):
         parse_sign_matrix("")
+    with pytest.raises(FormatError) as exc:
+        parse_sign_matrix("0 3\n")
+    assert str(exc.value) == "line 1: header must be 'd t' with d >= 1, t >= 0"
 
 
 @pytest.mark.parametrize(
@@ -290,6 +313,7 @@ def test_sign_matrix_round_trip():
         ("# c\n\nwitness t=2\n# c\n2 x\n", 5, "header must be 'd t'"),
         ("# c\nwitness t=2\n", 3, "empty sign-matrix file"),
         ("\n# c\nwitness t=3\n1 2\n+-\n", 3, "header says t=3 but sign matrix has 2 columns"),
+        ("# c\nwitness t=x\n1 2\n+-\n", 2, "bad t in witness header"),
     ],
 )
 def test_witness_file_errors_name_the_files_own_line(text, line, message):
