@@ -2,7 +2,7 @@
 
 Constructive extraction of row-monotone and fully monotone n x n submatrices
 from wide matrices, explicit generators for lower-bound witness matrices with
-no such submatrix, and independent brute-force oracles that verify every
+no such submatrix, and budgeted exact searches (the oracles) that check every
 guarantee at desk scale.
 """
 

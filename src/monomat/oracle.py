@@ -1,24 +1,21 @@
 """Exact searches for n x n (row-)monotone submatrices.
 
-The oracles enumerate index subsets lexicographically (rows outer, columns
-inner), so "first witness" is canonical and runs are reproducible. Exceeding
-a budget raises instead of returning absent: "not found" is never conflated
-with "does not exist". chain_search, the pipelines' exhaustive fallback,
-returns the same first witness by pruning row prefixes. Both read each row
-through order_table and narrow their masks by one row with _add_row; the
-tests check both against a plain loop over all subset pairs that shares
-neither.
+chain_search visits row sets depth first in lexicographic order and takes,
+at n rows, their lexicographically smallest column set, so "first witness"
+is canonical and runs are reproducible. The oracles run it under the budget
+of a plain loop over all subset pairs: exceeding a budget raises instead of
+returning absent, so "not found" is never conflated with "does not exist".
+The tests check them against that plain loop, which shares none of this
+module's code.
 """
 
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import reduce
-from itertools import accumulate, combinations, compress, repeat
+from itertools import accumulate, compress, repeat
 from math import comb
-from operator import and_, ge, getitem, le, or_
+from operator import and_, ge, le, or_
 
 from .errors import BudgetExceededError
 from .matrix import (
@@ -30,14 +27,22 @@ from .matrix import (
     SubmatrixWitness,
 )
 
-_BLOCK = 64  # columns per order table and per mask
-_BITS = [1 << i for i in range(_BLOCK)]
-_LATER = [(1 << _BLOCK) - (2 << i) for i in range(_BLOCK)]  # the bits above bit i
+# Widest matrix the oracles search at n >= 2: a node's masks and a row's
+# order table each take about N^2/4 bytes. At 8192 columns a truncated
+# search peaked at 71-91 MB RSS, at 16384 at 229-301 MB (2 x N with no two
+# columns agreeing at n = 2, and 8 x N random at n = 8; 2 cores, Python 3.11.7).
+MAX_WIDTH = 8192
 
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Caps on subset enumeration; lexicographic order is the canonical one."""
+    """Caps of a plain loop over row subsets (outer) and column subsets (inner).
+
+    Both are taken in lexicographic order, and the column count restarts
+    with each row subset. The oracles raise where that loop would test row
+    subset max_row_subsets + 1, or column subset max_col_subsets + 1 of one
+    row subset.
+    """
 
     max_row_subsets: int = 10_000_000
     max_col_subsets: int = 10_000_000
@@ -47,6 +52,13 @@ class SearchBudget:
             raise ValueError("budgets must be positive")
 
 
+def lex_rank(subset, size: int) -> int:
+    """1-based position of an increasing index tuple among the
+    len(subset)-subsets of range(size) in lexicographic order."""
+    k = len(subset)
+    return comb(size, k) - sum(comb(size - 1 - r, k - i) for i, r in enumerate(subset))
+
+
 def order_table(values, bits) -> tuple:
     """(keys, at_least, at_most, ranks) of a row of values, bits[i] marking the i-th.
 
@@ -54,8 +66,7 @@ def order_table(values, bits) -> tuple:
     index in keys of the i-th value. at_least[k] (at_most[k]) is the OR of
     the bits of the values >= keys[k] (<= keys[k]); at_least ends in 0. So
     the values weakly above a value v are at_least[bisect_left(keys, v)] and
-    those strictly above it are at_least[bisect_right(keys, v)]. _block
-    passes the bits of a 64-column block, chain_search those of a whole row.
+    those strictly above it are at_least[bisect_right(keys, v)].
     """
     keys = sorted(set(values))
     rank = dict(zip(keys, range(len(keys))))
@@ -69,194 +80,18 @@ def order_table(values, bits) -> tuple:
     return keys, at_least, tuple(accumulate(masks, or_)), ranks
 
 
-def chain_starts(later: list, cols: int, n: int, bits) -> list:
+def chain_starts(later: list, cols: int, n: int, bits):
     """For t = 0..n, the mask of the columns of cols that start a chain of t
     columns of cols, each in the later mask of the one before; bits[i] is
-    column i's bit, as in order_table."""
-    ends = cols
-    out = [ends, ends]
-    for _ in range(n - 1):
-        if ends:
-            ends = cols & sum(compress(bits, map(and_, later, repeat(ends))))
-        out.append(ends)
-    return out
-
-
-def _add_row(state, table, prev, row, bits) -> tuple:
-    """state (up, down, inc, dec) narrowed by one more row, read from its order table.
-    prev and row hold the values of the row above and of this one, or prev is None
-    when inc and dec stay as they are (the row kind, or the first row)."""
-    up, down, inc, dec = state
-    keys, at_least, at_most, ranks = table
-    if len(keys) > 1:  # a constant row has every column above and below the others
-        up = [u & at_least[k] for u, k in zip(up, ranks)]
-        down = [u & at_most[k] for u, k in zip(down, ranks)]
-    if prev is not None:
-        inc &= sum(compress(bits, map(le, prev, row)))
-        dec &= sum(compress(bits, map(ge, prev, row)))
-    return up, down, inc, dec
-
-
-def _block(m: Matrix, rows, tables: list, shared: list, b: int, kind: str) -> tuple:
-    """Block b of the chosen rows: (keys, at_least, up, down, inc, dec, chains).
-
-    keys and at_least hold each row's sequences, to bisect values of earlier
-    blocks. up[i] (down[i]) marks the later columns of the block weakly above
-    (below) its i-th column in every row. inc (dec) marks its columns weakly
-    increasing (decreasing) down the rows: every column for the row kind.
-    chains[t] is the pair of masks of the columns of inc | dec that start a
-    chain of t such columns, each in the up (down) mask of the one before.
-    Only in the last block does every chain end inside the block, so in the
-    others chains lets every column through.
-
-    Order tables are kept in tables[b][row] as they are first read.
-    shared[b] keeps up, down, inc and dec of the first n - 1 rows, so a row
-    subset that shares them with the one before adds only its last row.
-    """
-    n, lo, end = len(rows), b * _BLOCK, min(b * _BLOCK + _BLOCK, m.cols)
-    start = n - 1
-    if shared[b] is None:
-        full = (1 << end - lo) - 1
-        shared[b], start = (_LATER, _LATER, full, full), 0
-    state, prev = shared[b], None
-    for i in range(start, n):
-        if i == n - 1:
-            shared[b] = state
-        row = m.entries[rows[i]]
-        if (table := tables[b][rows[i]]) is None:
-            table = tables[b][rows[i]] = order_table(row[lo:end], _BITS)
-        if kind == MONOTONE and i:
-            prev, row = m.entries[rows[i - 1]][lo:end], row[lo:end]
-        state = _add_row(state, table, prev, row, _BITS)
-    up, down, inc, dec = state
-    keys, at_least = zip(*(tables[b][a][:2] for a in rows))
-    if end < m.cols:
-        return keys, at_least, up, down, inc, dec, [(-1, -1)] * (n + 1)
-    cols = inc | dec
-    chains = zip(chain_starts(up, cols, n, _BITS), chain_starts(down, cols, n, _BITS))
-    return keys, at_least, up, down, inc, dec, list(chains)
-
-
-def _first_witness(m: Matrix, n: int, budget: SearchBudget, kind: str):
-    """First n x n witness of the kind, rows outer and columns inner, or None.
-
-    Per row subset, column subsets are visited depth first in lexicographic
-    order. A node (a picked prefix) gets the columns it can take next as a
-    bitmask, 64 columns (a block) at a time, and walks only its set bits. A
-    column survives when the chosen rows (and, for the full kind, the picked
-    columns) keep a shared weak direction through it and, in the last block,
-    when it starts a chain as long as the columns still to pick. A
-    subsequence of a weakly monotone sequence is monotone the same way, so
-    no skipped subset is a witness. Skipped subsets still count against the
-    column budget, so the search raises where a plain loop over all column
-    subsets would: with r columns still to pick after a skipped column j,
-    C(W - 1 - j, r) subsets extend it, and a run of skipped columns a..b
-    counts C(W - a, r + 1) - C(W - b - 1, r + 1) at once.
-
-    The columns weakly above the last pick in every chosen row are the AND
-    of one mask per row, read from the row's order table of the block
-    (order_table): by the pick's rank in its own block, by one bisect in
-    later blocks. Below likewise; the full kind also ANDs one mask per pair
-    of adjacent rows. Tables are built as the search first reaches a block
-    (their slots, one per row and block, up front), so memory stays linear
-    in the columns read.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    if n > m.rows or n > m.cols:
-        return None
-    width = m.cols
-    # Counting only matters when the column subsets outnumber the budget.
-    cap = budget.max_col_subsets if comb(width, n) > budget.max_col_subsets else 0
-    n_blocks = -(-width // _BLOCK)
-    tables = [[None] * m.rows for _ in range(n_blocks)]
-    last = width - n  # a pick at depth k takes a column up to last + k
-    shared_rows = None
-    for count, rows in enumerate(combinations(range(m.rows), n), 1):
-        if count > budget.max_row_subsets:
-            raise BudgetExceededError(f"row-subset budget {budget.max_row_subsets} exhausted")
-        if rows[:-1] != shared_rows:
-            shared_rows, shared = rows[:-1], [None] * n_blocks
-        blocks: list = [None] * n_blocks
-        # p is the node's last pick (-1 at the root), hi its last column and
-        # dirs the bits of the directions still open: 1 and 2 rows up and
-        # down the picks, 4 and 8 columns up and down the rows. In its block
-        # b, from column base, rest holds the columns it has yet to take, up
-        # (down) those weakly above (below) p in every row and inc (dec)
-        # those increasing (decreasing) down the rows, each 0 when its
-        # direction is closed. pos is the first column not yet counted.
-        picks: list = []
-        saved: list = []  # the same state of each shorter prefix
-        p, dirs, b, base, hi, pos = -1, 15, -1, -_BLOCK, last, 0
-        rest = up = down = inc = dec = skipped = 0
-        while True:
-            if rest:
-                bit = rest & -rest
-                rest ^= bit
-                j = base + bit.bit_length() - 1
-                if cap:
-                    skipped += comb(width - pos, width - hi) - comb(width - j, width - hi)
-                    if skipped >= cap:
-                        raise BudgetExceededError(f"column-subset budget {cap} exhausted")
-                pos = j + 1
-                state = (bit & up and 1) | (bit & down and 2)
-                state |= (bit & inc and 4) | (bit & dec and 8)
-                picks.append(j)
-                if len(picks) == n:
-                    row_dir = INCREASING if state & 1 else DECREASING
-                    col_dir = INCREASING if state & 4 else DECREASING
-                    return SubmatrixWitness(
-                        rows, tuple(picks), kind, row_dir, col_dir if kind == MONOTONE else None
-                    )
-                saved.append((p, dirs, b, base, hi, rest, up, down, inc, dec, pos))
-                p, dirs, b, hi = j, state, pos // _BLOCK, hi + 1
-            elif base + _BLOCK <= hi:
-                b += 1
-            else:  # the node is done: count its skipped tail and go up
-                if cap:
-                    skipped += comb(width - pos, width - hi)
-                    if skipped >= cap:
-                        raise BudgetExceededError(f"column-subset budget {cap} exhausted")
-                if not saved:
-                    break
-                picks.pop()
-                p, dirs, b, base, hi, rest, up, down, inc, dec, pos = saved.pop()
-                continue
-            base = b * _BLOCK
-            if blocks[b] is None:
-                blocks[b] = _block(m, rows, tables, shared, b, kind)
-            keys, at_least, ups, downs, inc, dec, chains = blocks[b]
-            span = (1 << min(hi + 1 - base, _BLOCK)) - 1
-            if p < 0:
-                up = down = span
-            elif p >= base:
-                up, down = ups[p - base] & span, downs[p - base] & span
-            else:
-                at = [m.entries[a][p] for a in rows]
-                up = reduce(and_, map(getitem, at_least, map(bisect_left, keys, at)), span)
-                down = span & ~reduce(or_, map(getitem, at_least, map(bisect_right, keys, at)))
-            up, down = (up if dirs & 1 else 0), (down if dirs & 2 else 0)
-            inc, dec = (inc if dirs & 4 else 0), (dec if dirs & 8 else 0)
-            above, below = chains[width - hi]
-            rest = (up & above | down & below) & (inc | dec)
-    return None
-
-
-def brute_force_row_monotone(m: Matrix, n: int, budget: SearchBudget = SearchBudget()):
-    """First n x n row-monotone submatrix in lexicographic order, or None.
-
-    None means the whole space was enumerated; a truncated search raises
-    BudgetExceededError instead.
-    """
-    return _first_witness(m, n, budget, ROW_MONOTONE)
-
-
-def brute_force_monotone(m: Matrix, n: int, budget: SearchBudget = SearchBudget()):
-    """First n x n monotone submatrix in lexicographic order, or None.
-
-    Column directions are read on the transpose, down the chosen rows.
-    """
-    return _first_witness(m, n, budget, MONOTONE)
+    column i's bit, as in order_table. None when no chain of n columns
+    exists: the last n - t + 1 columns of such a chain each start a chain of
+    t, so the search stops at the first layer t that holds fewer columns."""
+    out = [cols, cols]
+    for t in range(1, n):
+        if out[t].bit_count() < n - t + 1:
+            return None
+        out.append(cols & sum(compress(bits, map(and_, later, repeat(out[t])))))
+    return out if out[n] else None
 
 
 def _first_chain(rel, allowed: int, n: int, bits):
@@ -269,10 +104,8 @@ def _first_chain(rel, allowed: int, n: int, bits):
         pick = rel[cols[-1]] & allowed
     if len(cols) == n:
         return tuple(cols)
-    if allowed.bit_count() < n:
-        return None
     starts = chain_starts(rel, allowed, n, bits)
-    if not starts[n]:
+    if starts is None:
         return None
     # Each pick is the smallest successor of the last that starts a chain
     # of the columns still to pick.
@@ -284,11 +117,12 @@ def _first_chain(rel, allowed: int, n: int, bits):
     return tuple(cols)
 
 
-def chain_search(m: Matrix, n: int, kind: str):
-    """First n x n witness of the kind in the oracle's order, or None.
+def chain_search(m: Matrix, n: int, kind: str, max_row_sets: int | None = None):
+    """First n x n witness of the kind, rows outer and columns inner, or None.
 
-    Exact, and equal field for field to brute_force_row_monotone or
-    brute_force_monotone: row sets are visited depth first in lexicographic
+    Exact, and equal field for field to the first witness of a plain loop
+    over row subsets and, per row subset, column subsets, both in
+    lexicographic order: row sets are visited depth first in lexicographic
     order. A node keeps, per column, the later columns weakly above it in
     every chosen row (up) and weakly below it (down); for MONOTONE also the
     columns weakly increasing and weakly decreasing down the chosen rows. A
@@ -297,6 +131,11 @@ def chain_search(m: Matrix, n: int, kind: str):
     relations and the masks, so a node with no chain of n columns is pruned.
     At n rows the lexicographically smallest chain wins, and ties in
     direction go to increasing.
+
+    A pruned node with k rows whose last row is r rules out the
+    C(d - 1 - r, n - k) row sets that extend it, and those before it are
+    ruled out already. With max_row_sets, the search raises
+    BudgetExceededError once it has ruled out that many.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -310,21 +149,38 @@ def chain_search(m: Matrix, n: int, kind: str):
     # builds its new row's table again.
     tables = [None] * rows if rows * size * size <= 1 << 28 else None
     later = [full ^ ((2 << i) - 1) for i in range(size)]
+    # A constant row has every column above and below the others.
+    varied = [row.count(row[0]) < size for row in entries]
     # Each entry is a node (its rows and their masks) and the next row to try
     # below it. A node goes back on the stack only while it has rows left to
     # try, so the stack holds the nodes of the current path that still branch.
     stack = [((), (later, later, full, full), 0)]
+    ruled_out = 0
     while stack:
         chosen, state, r = stack.pop()
         if r < rows - n + len(chosen):
             stack.append((chosen, state, r + 1))
-        if tables is None:
-            table = order_table(entries[r], bits)
-        elif (table := tables[r]) is None:
-            table = tables[r] = order_table(entries[r], bits)
-        prev = entries[chosen[-1]] if chosen and kind == MONOTONE else None
-        up, down, inc, dec = state = _add_row(state, table, prev, entries[r], bits)
+        up, down, inc, dec = state
+        row = entries[r]
+        if narrowed := varied[r]:
+            if tables is None:
+                table = order_table(row, bits)
+            elif (table := tables[r]) is None:
+                table = tables[r] = order_table(row, bits)
+            _, at_least, at_most, ranks = table
+            up = [u & at_least[k] for u, k in zip(up, ranks)]
+            down = [u & at_most[k] for u, k in zip(down, ranks)]
+        if chosen and kind == MONOTONE and (prev := entries[chosen[-1]]) != row:
+            inc &= sum(compress(bits, map(le, prev, row)))
+            dec &= sum(compress(bits, map(ge, prev, row)))
+            narrowed = True
         chosen += (r,)
+        state = up, down, inc, dec
+        # Every node on the stack holds a chain of n columns (the root too,
+        # as n <= N), so a row that narrows no mask keeps one.
+        if not narrowed and len(chosen) < n:
+            stack.append((chosen, state, r + 1))
+            continue
         chains = (
             cols
             for mask in {inc, dec}
@@ -333,6 +189,10 @@ def chain_search(m: Matrix, n: int, kind: str):
         )
         first = next(chains, None)
         if first is None:
+            if max_row_sets is not None:
+                ruled_out += comb(rows - 1 - r, n - len(chosen))
+                if ruled_out >= max_row_sets:
+                    raise BudgetExceededError(f"row-subset budget {max_row_sets} exhausted")
             continue
         if len(chosen) < n:
             stack.append((chosen, state, r + 1))
@@ -350,6 +210,49 @@ def chain_search(m: Matrix, n: int, kind: str):
             col_direction=col_direction,
         )
     return None
+
+
+def _first_witness(m: Matrix, n: int, budget: SearchBudget, kind: str):
+    """chain_search under the budget, raising where the plain loop would.
+
+    That loop restarts its column count with each row subset, so once
+    C(N, n) passes the column budget it never gets past rows 0..n-1: their
+    first column set is the witness when its rank is within the budget.
+    Otherwise the row budget binds only when C(d, n) passes it.
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+    if n > m.rows or n > m.cols:
+        return None
+    if n == 1:  # every entry is a witness, increasing both ways
+        col_direction = INCREASING if kind == MONOTONE else None
+        return SubmatrixWitness((0,), (0,), kind, INCREASING, col_direction)
+    if m.cols > MAX_WIDTH:
+        raise BudgetExceededError(f"width cap of {MAX_WIDTH} columns exceeded")
+    max_rows, max_cols = budget.max_row_subsets, budget.max_col_subsets
+    if comb(m.cols, n) > max_cols:
+        found = chain_search(Matrix(m.entries[:n]), n, kind)
+        if found is None or lex_rank(found.cols, m.cols) > max_cols:
+            raise BudgetExceededError(f"column-subset budget {max_cols} exhausted")
+        return found
+    return chain_search(m, n, kind, max_rows if comb(m.rows, n) > max_rows else None)
+
+
+def brute_force_row_monotone(m: Matrix, n: int, budget: SearchBudget = SearchBudget()):
+    """First n x n row-monotone submatrix in lexicographic order, or None.
+
+    None means the whole space was searched; a truncated search raises
+    BudgetExceededError instead.
+    """
+    return _first_witness(m, n, budget, ROW_MONOTONE)
+
+
+def brute_force_monotone(m: Matrix, n: int, budget: SearchBudget = SearchBudget()):
+    """First n x n monotone submatrix in lexicographic order, or None.
+
+    Column directions are read down the chosen rows.
+    """
+    return _first_witness(m, n, budget, MONOTONE)
 
 
 def es_extremal_sequence(n: int) -> tuple[int, ...]:

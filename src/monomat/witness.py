@@ -39,6 +39,7 @@ from .matrix import (
     meaningful_lines,
     sign_str,
 )
+from .oracle import lex_rank
 
 BitVector = tuple[int, ...]
 
@@ -343,12 +344,10 @@ def verify_witness(w: WitnessMatrix, n: int, max_col_subsets: int = 10**6) -> Wi
     if failed:
         max_plus, max_minus = len(plus), len(minus)
     total = comb(d, n)
-    # Row sets up to `rows` in lexicographic order: all but those after it.
-    later = sum(comb(d - 1 - r, n - i) for i, r in enumerate(rows))
     return WitnessCheckReport(
         verdict="FAIL" if failed else "PASS",
         target=n,
-        row_sets_tested=total - later if failed else total,
+        row_sets_tested=lex_rank(rows, d) if failed else total,
         row_sets_total=total,
         max_plus=max_plus,
         max_minus=max_minus,

@@ -18,6 +18,7 @@ from monomat import cli
 from monomat.cli import main
 from monomat.errors import InternalCheckError, MonomatError
 from monomat.matrix import format_matrix, parse_matrix
+from monomat.oracle import MAX_WIDTH
 from monomat.witness import (
     build_witness,
     parse_witness_or_signs,
@@ -858,8 +859,41 @@ def test_oracle_at_n_1000(last_row, result, tmp_path, capsys):
     assert f"result: {result}" in captured.out and "RecursionError" not in captured.err
 
 
+@pytest.mark.parametrize("kind", ["row", "full"])
+def test_oracle_settles_a_forced_completion_quickly(kind, tmp_path, capsys):
+    # 299 constant rows, then 0101... and 1010...: each of the 301 row sets
+    # leaves out one row, and only the alternating rows narrow the masks.
+    n = 300
+    alternating = [" ".join(str((i + a) % 2) for i in range(n)) for a in (0, 1)]
+    path = tmp_path / "m.txt"
+    path.write_text(f"{n + 1} {n}\n" + "\n".join(["1 " * n] * (n - 1) + alternating) + "\n")
+    start = time.perf_counter()
+    code = run(["oracle", path, "--n", n, "--kind", kind])
+    assert time.perf_counter() - start < 1.5
+    assert code == 0 and "result: absent\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "n, width, code", [(1, MAX_WIDTH + 1, 0), (2, MAX_WIDTH, 0), (2, MAX_WIDTH + 1, 3)]
+)
+def test_oracle_width_cap(n, width, code, tmp_path, capsys):
+    # n rows in which columns 1 and 2 rise. At n = 1 the first entry is the
+    # witness at any width; at n >= 2 the search refuses past the cap.
+    path = tmp_path / "m.txt"
+    path.write_text(f"{n} {width}\n" + ("0 1" + " 0" * (width - 2) + "\n") * n)
+    assert run(["oracle", path, "--n", n]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured == ("", f"search truncated: width cap of {MAX_WIDTH} columns exceeded\n")
+    else:
+        picks = " ".join(map(str, range(1, n + 1)))
+        assert "result: found\n" in captured.out
+        assert f"rows: {picks}\n" in captured.out and f"cols: {picks}\n" in captured.out
+
+
 def test_verify_oracle_truncates_within_its_budget(tmp_path, capsys):
-    # 16 x 4096 at n = 8: the column subsets the search skips count against --budget.
+    # 16 x 4096 at n = 8: C(4096, 8) column subsets pass --budget, so only
+    # rows 1..8 are searched, and their column sets count against it.
     prefix = tmp_path / "w"
     assert run(["witness", "--d", 16, "--t", 12, "--n", 8, "--s", 3, "--seed", 1,
                 "--output-prefix", prefix]) == 0

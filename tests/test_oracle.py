@@ -96,10 +96,10 @@ def test_pruned_search_matches_plain_loop_with_budgets():
             found += isinstance(expected, SubmatrixWitness)
     # All three outcomes occur often, so each path is exercised.
     assert raised > 500 and found > 500 and 6000 - raised - found > 500
-    # A shorter draw past one 64-column block, at n <= 2 (n = 3 only with
-    # d = 3) so the plain loop stays cheap. Odd rows reverse the row above up
-    # to a cut, so few column pairs agree before it: witnesses and budget
-    # cuts fall in later blocks too.
+    # A shorter draw past 64 columns, at n <= 2 (n = 3 only with d = 3) so
+    # the plain loop stays cheap. Odd rows reverse the row above up to a
+    # cut, so few column pairs agree before it: witnesses and budget cuts
+    # fall past column 64 too.
     beyond = cut_short = 0
     for _ in range(150):
         n = rng.randint(1, 3)
@@ -120,9 +120,9 @@ def test_pruned_search_matches_plain_loop_with_budgets():
 
 
 def test_search_memory_stays_linear_in_width():
-    # No two columns agree (row 0 rises, row 1 strictly falls), so the search
-    # reads every block until the budget runs out; masks of every later
-    # column per column and row would take about 100 MB here.
+    # No two columns agree (row 0 rises, row 1 strictly falls). Masks of
+    # every later column per column and row would take about 100 MB here, so
+    # the search refuses past its width cap before it builds any.
     m = Matrix.from_rows([list(range(20000)), list(range(20000, 0, -1))])
     tracemalloc.start()
     try:
