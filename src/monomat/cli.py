@@ -29,8 +29,8 @@ from .errors import (
     InternalCheckError,
     MonomatError,
 )
-from .matrix import Matrix, SignMatrix, parse_matrix, sign_str, submatrix
-from .matrix import meaningful_lines, parse_matrix_lines
+from .matrix import ROW_MONOTONE, Matrix, SignMatrix, SubmatrixWitness, meaningful_lines
+from .matrix import parse_matrix, parse_matrix_lines, sign_str, submatrix
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -157,7 +157,8 @@ def cmd_witness(args) -> int:
         "files": written,
     }
     _emit(payload, args.format)
-    return EXIT_OK
+    # Above s = ceil(log2 n) the sampler certifies only that no n x s block exists.
+    return EXIT_COUNTEREXAMPLE if report.verdict == "FAIL" else EXIT_OK
 
 
 def cmd_verify(args) -> int:
@@ -167,69 +168,48 @@ def cmd_verify(args) -> int:
     except FormatError:
         # parse_matrix refuses every sign row and every 'witness t=' header, so
         # only a file it refuses can be a witness or sign file.
-        w = witness_mod.parse_witness_or_sign_lines(lines)
+        m = w = witness_mod.parse_witness_or_sign_lines(lines)
         if w is None:
             raise
-    run_structural = args.structural or not args.oracle
-    run_oracle = args.oracle or not args.structural
-
     payload: dict = {"input": args.input, "n": args.n, "checks": []}
-
-    def skip_oracle(reason: str):
-        print(f"oracle check skipped: {reason}", file=sys.stderr)
-        payload["oracle"] = "skipped"
-
+    counterexample = None
     if w is None:
         if args.structural:
             raise MonomatError("the structural check needs a witness or sign file")
-    else:
-        limit = witness_mod.MAX_MATERIALIZE_T
-        # The oracle holds the whole d x 2^t matrix, so it is refused past 2^22 entries.
-        if run_oracle and (w.t > limit or w.rows << w.t > 1 << 22):
-            need = f"t <= {limit}" if w.t > limit else "d * 2^t <= 2^22 entries"
-            if args.oracle:
-                raise MonomatError(f"oracle check needs {need} to materialize")
-            skip_oracle(f"it needs {need} to materialize")
-            run_oracle = False
-        if run_structural:
-            report = witness_mod.verify_witness(w, args.n, max_col_subsets=args.budget)
-            payload["checks"].append("structural")
-            payload["structural"] = report.verdict
-            payload["check_mode"] = report.mode
-            payload["coverage"] = report.coverage
-            payload["clique_bound"] = report.clique_bound
-            if report.verdict == "FAIL":
-                rows, ranks, direction = witness_mod.structural_counterexample(w, report)
-                payload["counterexample"] = {
-                    "rows": [r + 1 for r in rows],
-                    "cols": list(ranks[: args.n]),
-                    "kind": "row-monotone",
-                    "row_direction": direction,
-                }
-        if run_oracle:
-            m = w.materialize()
-
-    if run_oracle:
+    elif not args.oracle or args.structural:
+        report = witness_mod.verify_witness(w, args.n, max_col_subsets=args.budget)
+        payload["checks"].append("structural")
+        payload["structural"] = report.verdict
+        payload["check_mode"] = report.mode
+        payload["coverage"] = report.coverage
+        payload["clique_bound"] = report.clique_bound
+        if report.verdict == "FAIL":
+            rows, ranks, direction = witness_mod.structural_counterexample(w, report)
+            cols = tuple(k - 1 for k in ranks[: args.n])
+            counterexample = SubmatrixWitness(rows, cols, ROW_MONOTONE, direction)
+    if args.oracle or not args.structural:
         try:
             found = oracle.brute_force_row_monotone(
                 m, args.n, oracle.SearchBudget(args.budget, args.budget)
             )
-        except BudgetExceededError as exc:
+        except MonomatError as exc:
             if args.oracle or w is None:  # the oracle is asked for or is the only check
                 raise
-            skip_oracle(f"search truncated: {exc}")
+            print(f"oracle check skipped: {_exit_row(exc)[0]}: {exc}", file=sys.stderr)
+            payload["oracle"] = "skipped"
         else:
             payload["checks"].append("oracle")
             payload["oracle"] = "absent" if found is None else "found"
-            if found is not None and "counterexample" not in payload:
-                payload["counterexample"] = {
-                    "rows": [r + 1 for r in found.rows],
-                    "cols": [c + 1 for c in found.cols],
-                    "kind": found.kind,
-                    "row_direction": found.row_direction,
-                }
+            counterexample = counterexample or found
+    if counterexample:
+        payload["counterexample"] = {
+            "rows": [r + 1 for r in counterexample.rows],
+            "cols": [c + 1 for c in counterexample.cols],
+            "kind": counterexample.kind,
+            "row_direction": counterexample.row_direction,
+        }
     _emit(payload, args.format)
-    return EXIT_COUNTEREXAMPLE if "counterexample" in payload else EXIT_OK
+    return EXIT_COUNTEREXAMPLE if counterexample else EXIT_OK
 
 
 def cmd_oracle(args) -> int:
@@ -511,6 +491,11 @@ EXIT_TABLE = (
 )
 
 
+def _exit_row(exc: Exception) -> tuple[str, int]:
+    """The stderr prefix and exit code EXIT_TABLE gives an exception."""
+    return next((p, c) for kind, p, c in EXIT_TABLE if isinstance(exc, kind))
+
+
 def main(argv=None) -> int:
     parser, commands = _parsers()
     argv = sys.argv[1:] if argv is None else argv
@@ -526,7 +511,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (MonomatError, OSError) as exc:
-        prefix, code = next((p, c) for kind, p, c in EXIT_TABLE if isinstance(exc, kind))
+        prefix, code = _exit_row(exc)
         print(f"{prefix}: {exc}", file=sys.stderr)
         return code
 

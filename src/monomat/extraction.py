@@ -390,11 +390,12 @@ def _fallback_search(m: Matrix, n: int, kind: str, budget: int, stages: list):
     enumerate. Records the outcome in stages when the search runs; returns
     the witness or None.
     """
-    found = None
-    if n <= m.rows and n <= m.cols:
-        if math.comb(m.rows, n) * math.comb(m.cols, n) > budget:
-            return None
+    if math.comb(m.rows, n) * math.comb(m.cols, n) > budget:
+        return None
+    try:
         found = chain_search(m, n, kind)
+    except BudgetExceededError:  # past its width cap: refused like the budget
+        return None
     stages.append(("exhaustive_fallback", "witness found" if found else "no witness exists"))
     return found
 

@@ -27,11 +27,17 @@ from .matrix import (
     SubmatrixWitness,
 )
 
-# Widest matrix the oracles search at n >= 2: a node's masks and a row's
-# order table each take about N^2/4 bytes. At 8192 columns a truncated
-# search peaked at 71-91 MB RSS, at 16384 at 229-301 MB (2 x N with no two
-# columns agreeing at n = 2, and 8 x N random at n = 8; 2 cores, Python 3.11.7).
+# Widest matrix chain_search searches at n >= 2: a node's masks and a row's
+# order table each take about N^2/4 bytes. A truncated search peaked at
+# 71-91 MB RSS at 8192 columns, 229-301 MB at 16384 (2 x N, no two columns
+# agreeing, n = 2; 8 x N random, n = 8; 2 cores, Python 3.11.7).
 MAX_WIDTH = 8192
+
+
+def _refuse_past_width(m) -> None:
+    """Raise BudgetExceededError for a matrix wider than MAX_WIDTH, before any entry is read."""
+    if m.cols > MAX_WIDTH:
+        raise BudgetExceededError(f"width cap of {MAX_WIDTH} columns exceeded")
 
 
 @dataclass(frozen=True)
@@ -60,13 +66,13 @@ def lex_rank(subset, size: int) -> int:
 
 
 def order_table(values, bits) -> tuple:
-    """(keys, at_least, at_most, ranks) of a row of values, bits[i] marking the i-th.
+    """(at_least, at_most, ranks) of a row of values, bits[i] marking the i-th.
 
-    keys are the distinct values in increasing order and ranks[i] is the
-    index in keys of the i-th value. at_least[k] (at_most[k]) is the OR of
-    the bits of the values >= keys[k] (<= keys[k]); at_least ends in 0. So
-    the values weakly above a value v are at_least[bisect_left(keys, v)] and
-    those strictly above it are at_least[bisect_right(keys, v)].
+    ranks[i] is the index of the i-th value among the row's distinct values
+    in increasing order. at_least[k] (at_most[k]) is the OR of the bits of
+    the values of rank >= k (<= k), and at_least ends in 0. So the values
+    weakly above the i-th are at_least[ranks[i]] and those weakly below it
+    are at_most[ranks[i]].
     """
     keys = sorted(set(values))
     rank = dict(zip(keys, range(len(keys))))
@@ -77,7 +83,7 @@ def order_table(values, bits) -> tuple:
         masks[k] |= bit
     # Tuples, unlike lists built from an iterator, hold no spare slots.
     at_least = tuple(accumulate(reversed(masks), or_, initial=0))[::-1]
-    return keys, at_least, tuple(accumulate(masks, or_)), ranks
+    return at_least, tuple(accumulate(masks, or_)), ranks
 
 
 def chain_starts(later: list, cols: int, n: int, bits):
@@ -134,13 +140,17 @@ def chain_search(m: Matrix, n: int, kind: str, max_row_sets: int | None = None):
 
     A pruned node with k rows whose last row is r rules out the
     C(d - 1 - r, n - k) row sets that extend it, and those before it are
-    ruled out already. With max_row_sets, the search raises
-    BudgetExceededError once it has ruled out that many.
+    ruled out already. It raises BudgetExceededError past MAX_WIDTH columns
+    (n >= 2), and with max_row_sets once it has ruled out that many.
     """
     if n < 1:
         raise ValueError("n must be positive")
     if n > m.rows or n > m.cols:
         return None
+    if n == 1:  # every entry is a witness, increasing both ways
+        col_direction = INCREASING if kind == MONOTONE else None
+        return SubmatrixWitness((0,), (0,), kind, INCREASING, col_direction)
+    _refuse_past_width(m)
     entries, rows, size = m.entries, m.rows, m.cols
     full = (1 << size) - 1
     bits = [1 << i for i in range(size)]
@@ -167,7 +177,7 @@ def chain_search(m: Matrix, n: int, kind: str, max_row_sets: int | None = None):
                 table = order_table(row, bits)
             elif (table := tables[r]) is None:
                 table = tables[r] = order_table(row, bits)
-            _, at_least, at_most, ranks = table
+            at_least, at_most, ranks = table
             up = [u & at_least[k] for u, k in zip(up, ranks)]
             down = [u & at_most[k] for u, k in zip(down, ranks)]
         if chosen and kind == MONOTONE and (prev := entries[chosen[-1]]) != row:
@@ -218,17 +228,12 @@ def _first_witness(m: Matrix, n: int, budget: SearchBudget, kind: str):
     That loop restarts its column count with each row subset, so once
     C(N, n) passes the column budget it never gets past rows 0..n-1: their
     first column set is the witness when its rank is within the budget.
-    Otherwise the row budget binds only when C(d, n) passes it.
+    Otherwise the row budget binds only when C(d, n) passes it. The size
+    checks come first, so a WitnessMatrix builds entries only for a search.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    if n > m.rows or n > m.cols:
-        return None
-    if n == 1:  # every entry is a witness, increasing both ways
-        col_direction = INCREASING if kind == MONOTONE else None
-        return SubmatrixWitness((0,), (0,), kind, INCREASING, col_direction)
-    if m.cols > MAX_WIDTH:
-        raise BudgetExceededError(f"width cap of {MAX_WIDTH} columns exceeded")
+    if n < 2 or n > m.rows or n > m.cols:  # settled before any entry is read
+        return chain_search(m, n, kind)
+    _refuse_past_width(m)
     max_rows, max_cols = budget.max_row_subsets, budget.max_col_subsets
     if comb(m.cols, n) > max_cols:
         found = chain_search(Matrix(m.entries[:n]), n, kind)

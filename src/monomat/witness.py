@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 from operator import itemgetter
 from typing import ClassVar
@@ -43,8 +44,8 @@ from .oracle import lex_rank
 
 BitVector = tuple[int, ...]
 
-# Largest t whose 2^t witness columns are materialized; beyond it only the
-# structural check runs.
+# Largest t whose 2^t witness columns are materialized, in a file or in
+# memory; the dense rows in memory also stop at 2^22 entries.
 MAX_MATERIALIZE_T = 20
 
 GENERATOR = "mt19937"  # random.Random's generator, named in every generated file
@@ -236,13 +237,16 @@ class WitnessMatrix:
             blocks = (read(text[s : s + size]) for s in starts)
             yield " ".join(map(" ".join, blocks)) + "\n"
 
-    def materialize(self) -> Matrix:
-        """Dense form, the whole d x 2^t matrix; entry() is the defining formula.
+    @cached_property
+    def entries(self) -> tuple[tuple[int, ...], ...]:
+        """Dense rows, built on first use and refused past 2^22 entries; entry() is the formula.
 
         A row is built in colex order, O(2^t): columns 2^i + 1..2^(i+1)
         repeat columns 1..2^i shifted by 2^(i+1) * s_i.
         """
         self._refuse_past_cap()
+        if self.rows << self.t > 1 << 22:
+            raise MonomatError(f"refusing to build {self.rows} x 2^{self.t} entries (limit 2^22)")
         rows = []
         for signs in self.signs.entries:
             row = [0]
@@ -250,7 +254,11 @@ class WitnessMatrix:
                 step = (2 << i) * sign
                 row += [v + step for v in row]
             rows.append(tuple(row))
-        return Matrix(tuple(rows))
+        return tuple(rows)
+
+    def materialize(self) -> Matrix:
+        """Dense form, the whole d x 2^t matrix."""
+        return Matrix(self.entries)
 
 
 def build_witness(sm: SignMatrix) -> WitnessMatrix:

@@ -182,6 +182,19 @@ def test_witness_impossible_params_exit_4(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_witness_exits_5_on_a_fail_verdict(tmp_path, capsys):
+    # Above s = ceil(log2 3) = 2 the sampler certifies only that no 3 x 3
+    # block exists, so the structural check may find a 3 x 2 one.
+    prefix = tmp_path / "w"
+    assert run(["witness", "--d", 10, "--t", 6, "--n", 3, "--s", 3, "--seed", 1,
+                "--output-prefix", prefix]) == 5
+    out = capsys.readouterr().out
+    assert "verdict: FAIL\n" in out and "coverage: 0.03333333333333333\n" in out
+    sm = sample_sign_matrix(10, 6, 3, 3, seed=1)
+    assert parse_witness_or_signs((tmp_path / "w.witness").read_text()).signs == sm
+    assert parse_witness_or_signs((tmp_path / "w.signs").read_text()).signs == sm
+
+
 def test_witness_determinism_byte_identical(tmp_path, capsys):
     a_prefix = tmp_path / "a"
     b_prefix = tmp_path / "b"
@@ -456,50 +469,83 @@ def test_witness_materialize_beyond_t20_refused_before_writing(tmp_path, capsys)
 
 
 def wide_witness(tmp_path, rows):
-    """A t = 21 witness file, too wide for the oracle to materialize."""
+    """A t = 21 witness file: 2^21 columns, past the oracle's width cap."""
     path = tmp_path / "wide.witness"
     body = "\n".join(" ".join(row) for row in rows)
     path.write_text(f"witness t=21\n{len(rows)} 21\n{body}\n")
     return path
 
 
+def tall_signs(tmp_path):
+    """A 513 x 13 sign file: 8192 columns, within the width cap, but 513 * 2^13 > 2^22."""
+    path = tmp_path / "tall.signs"
+    path.write_text("513 13\n" + "".join("+-"[a % 2] * 13 + "\n" for a in range(513)))
+    return path
+
+
 def test_verify_beyond_t20_reports_structural_verdict(tmp_path, capsys):
+    # n > d: the sizes alone settle the oracle check, at any t.
     alternating = [["+-"[(a + j) % 2] for j in range(21)] for a in range(3)]
     path = wide_witness(tmp_path, alternating)
     assert run(["verify", path, "--n", 4, "--format", "json"]) == 0
     captured = capsys.readouterr()
     payload = json.loads(captured.out)
     assert payload["structural"] == "PASS"
-    assert payload["checks"] == ["structural"]
-    assert payload["oracle"] == "skipped"
-    assert "t <= 20" in captured.err
+    assert payload["checks"] == ["structural", "oracle"]
+    assert payload["oracle"] == "absent"
+    assert captured.err == ""
+    # n = 2 <= d: past the width cap the oracle check is skipped.
     path = wide_witness(tmp_path, [["+"] * 21] * 4)
     assert run(["verify", path, "--n", 2, "--format", "json"]) == 5
-    payload = json.loads(capsys.readouterr().out)
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
     assert (payload["structural"], payload["oracle"]) == ("FAIL", "skipped")
     assert payload["counterexample"]["rows"] == [1, 2]
+    assert captured.err == (
+        f"oracle check skipped: search truncated: width cap of {MAX_WIDTH} columns exceeded\n"
+    )
 
 
-def test_verify_oracle_only_beyond_t20_exit_2(tmp_path, capsys):
+def test_verify_oracle_only_beyond_t20_exit_3(tmp_path, capsys):
     path = wide_witness(tmp_path, [["+"] * 21] * 4)
-    assert run(["verify", path, "--n", 2, "--oracle"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and "t <= 20" in captured.err
+    assert run(["verify", path, "--n", 2, "--oracle"]) == 3
+    assert capsys.readouterr() == (
+        "", f"search truncated: width cap of {MAX_WIDTH} columns exceeded\n")
+    # n = 1 takes the first entry at any width.
+    assert run(["verify", path, "--n", 1, "--oracle"]) == 5
+    assert "oracle: found\n" in capsys.readouterr().out
 
 
 def test_verify_refuses_the_oracle_past_2_22_dense_entries(tmp_path, capsys):
-    # 5 x 2^20 entries: t is within the limit, but d * 2^t is not.
-    path = tmp_path / "tall.signs"
-    path.write_text("5 20\n" + "".join("+-"[a % 2] * 20 + "\n" for a in range(5)))
-    need = "d * 2^t <= 2^22 entries to materialize"
-    assert run(["verify", path, "--n", 4, "--format", "json"]) == 0
+    # 513 x 2^13 entries: the width is within the cap, but d * 2^t is not.
+    path = tall_signs(tmp_path)
+    refused = "refusing to build 513 x 2^13 entries (limit 2^22)"
+    assert run(["verify", path, "--n", 4, "--format", "json"]) == 5
     captured = capsys.readouterr()
     payload = json.loads(captured.out)
     assert (payload["checks"], payload["structural"], payload["oracle"]) == (
-        ["structural"], "PASS", "skipped")
-    assert captured.err == f"oracle check skipped: it needs {need}\n"
+        ["structural"], "FAIL", "skipped")
+    assert captured.err == f"oracle check skipped: error: {refused}\n"
     assert run(["verify", path, "--n", 4, "--oracle"]) == 2
-    assert capsys.readouterr() == ("", f"error: oracle check needs {need}\n")
+    assert capsys.readouterr() == ("", f"error: {refused}\n")
+
+
+def test_verify_of_a_wide_witness_builds_no_dense_rows(tmp_path, capsys):
+    # 16 x 2^16 is past the width cap, so the oracle refuses before it reads
+    # an entry: the dense rows alone would take about 40 MB.
+    prefix = tmp_path / "w"
+    assert run(["witness", "--d", 16, "--t", 16, "--n", 8, "--s", 3, "--seed", 1,
+                "--output-prefix", prefix]) == 0
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        assert run(["verify", f"{prefix}.witness", "--n", 8]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert "structural: PASS\n" in captured.out and "oracle: skipped\n" in captured.out
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 def test_verify_keeps_the_structural_verdict_when_the_oracle_truncates(tmp_path, capsys):
@@ -573,14 +619,15 @@ def test_witness_files_read_back_to_the_sampled_sign_matrix(tmp_path, capsys):
           "--output-prefix", "{out}/x"], "refusing to materialize beyond t=20"),
         (["verify", "{inc}", "--n", 2, "--structural"],
          "the structural check needs a witness or sign file"),
-        (["verify", "{wide}", "--n", 2, "--oracle"], "oracle check needs t <= 20 to materialize"),
+        (["verify", "{tall}", "--n", 2, "--oracle"],
+         "refusing to build 513 x 2^13 entries (limit 2^22)"),
     ],
 )
 def test_refusals_go_through_the_exit_table(argv, message, inc_matrix, tmp_path, capsys):
     out = tmp_path / "out"
     out.mkdir()
-    wide = wide_witness(tmp_path, [["+"] * 21] * 4)
-    assert run([str(a).format(out=out, inc=inc_matrix, wide=wide) for a in argv]) == 2
+    tall = tall_signs(tmp_path)
+    assert run([str(a).format(out=out, inc=inc_matrix, tall=tall) for a in argv]) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
     assert not list(out.iterdir())
 
@@ -889,6 +936,28 @@ def test_oracle_width_cap(n, width, code, tmp_path, capsys):
         picks = " ".join(map(str, range(1, n + 1)))
         assert "result: found\n" in captured.out
         assert f"rows: {picks}\n" in captured.out and f"cols: {picks}\n" in captured.out
+
+
+def test_find_fallback_refuses_past_the_width_cap(tmp_path, capsys):
+    # C(4, 4) * C(16384, 4) fits the budget, but a search of 16384 columns
+    # would hold about 300 MB of masks: the fallback refuses it before it
+    # builds any, and reports it the way it reports a space past the budget.
+    rng = random.Random(5)
+    width = 2 * MAX_WIDTH
+    path = tmp_path / "m.txt"
+    path.write_text(f"4 {width}\n" + "".join(
+        " ".join(str(rng.getrandbits(20)) for _ in range(width)) + "\n" for _ in range(4)))
+    argv = ["find", path, "--n", 4, "--budget", 10**18, "--format", "json"]
+    tracemalloc.start()
+    try:
+        assert run(argv) == 3
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    payload = json.loads(capsys.readouterr().out)
+    assert not any(stage.startswith("exhaustive_fallback") for stage in payload["stages"])
+    assert payload["met_target"] is False
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 def test_verify_oracle_truncates_within_its_budget(tmp_path, capsys):

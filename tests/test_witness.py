@@ -21,10 +21,11 @@ from monomat.matrix import (
     ROW_MONOTONE,
     Matrix,
     SubmatrixWitness,
+    ceil_log2,
     format_matrix,
     sign_diff,
 )
-from monomat.oracle import SearchBudget, brute_force_row_monotone
+from monomat.oracle import SearchBudget, brute_force_row_monotone, chain_search
 from monomat.witness import (
     SignMatrix,
     WitnessMatrix,
@@ -260,6 +261,42 @@ def test_verify_witness_pass_agrees_with_oracle():
     w = build_witness(sm)
     assert verify_witness(w, 3).verdict == "PASS"
     assert brute_force_row_monotone(w.materialize(), 3, SearchBudget(10**6, 10**6)) is None
+
+
+def test_structural_check_and_chain_search_agree():
+    # The structural tally and chain_search share no code, so they are two
+    # independent engines. Sign matrices come sampled (no n x s block, PASS),
+    # with a planted n x s single-sign block (FAIL) or uniform (either).
+    rng = random.Random(27)
+    verdicts = {"PASS": 0, "FAIL": 0}
+    for case in range(300):
+        n = rng.randint(2, 8)
+        s = ceil_log2(n)
+        d, t = rng.randint(n, 16), rng.randint(s, 10)
+        if case % 3 == 0:
+            try:
+                sm = sample_sign_matrix(d, t, n, s, seed=case, max_attempts=100)
+            except ExhaustedAttemptsError:
+                continue
+        else:
+            rows = [[rng.choice((1, -1)) for _ in range(t)] for _ in range(d)]
+            if case % 3 == 1:
+                sign, cols = rng.choice((1, -1)), rng.sample(range(t), s)
+                for a in rng.sample(range(d), n):
+                    for j in cols:
+                        rows[a][j] = sign
+            sm = SignMatrix.from_rows(rows)
+        w = build_witness(sm)
+        report = verify_witness(w, n)
+        dense = w.materialize()
+        assert (report.verdict == "PASS") == (chain_search(dense, n, ROW_MONOTONE) is None), (sm, n)
+        verdicts[report.verdict] += 1
+        if report.verdict == "FAIL":
+            rows, ranks, direction = structural_counterexample(w, report)
+            cols = tuple(k - 1 for k in ranks[:n])
+            assert len(cols) == n
+            assert SubmatrixWitness(rows, cols, ROW_MONOTONE, direction).validate(dense)
+    assert min(verdicts.values()) > 80, verdicts
 
 
 def test_verify_witness_more_rows_than_matrix():
